@@ -22,7 +22,7 @@ from . import __version__
 from .dynamics import CoupledModeParams, crossing_map, dispersive_shift_table, exchange_trace
 from .fitting import FitError, fit_free_distribution, fit_parametric
 from .fock import FockCutoff, FockState, basis_index
-from .measure import repeated_interrogation, single_shot
+from .measure import single_shot
 from .spectra import (
     DriveParams,
     Spectrum,
@@ -33,7 +33,6 @@ from .spectra import (
 )
 from .states import (
     StatePrepError,
-    distribution,
     embed_radial,
     fock10_imperfect_preset,
     parse_state_spec,
@@ -231,7 +230,7 @@ def cmd_fit(args) -> int:
         params0 = {}
         for item in args.p0 or []:
             key, _, val = item.partition("=")
-            params0[key] = float(val)
+            params0[key] = int(val) if key == "n" else float(val)
         result = fit_parametric(spectrum, args.family, params0, centers, drive)
     path = out / "fit.json"
     result.to_json(str(path))
@@ -356,7 +355,12 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t-pi-ms", type=float, default=8.0)
     p.add_argument("--n-max", type=int, default=10)
     p.add_argument("--eta", default="0.7", help="free fit: fixed value, or 'free'")
-    p.add_argument("--p0", nargs="*", help="initial parametric guesses, e.g. nbar=1.0 r=0.5")
+    p.add_argument(
+        "--p0",
+        nargs="*",
+        help="initial parametric guesses, e.g. nbar=1.0 r=0.5; missing ones start at "
+        "nbar=alpha=1.0, r=0.5; squeezed_fock needs its integer Fock index n",
+    )
     p.set_defaults(func=cmd_fit)
 
     p = sub.add_parser("shots", help="Monte Carlo single-shot phonon interrogation")

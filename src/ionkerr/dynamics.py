@@ -5,18 +5,16 @@ so the coupling term is static.  With the default frame offset Da = 0 the zero
 of energy sits at the bare |0_a, 0_b> state.
 
 The coupling conserves N = 2 n_a + n_b, so the Hamiltonian is block diagonal in
-manifolds of fixed N; dressed-state energies are computed per manifold and
-assigned to bare labels by maximal eigenvector overlap.
+manifolds of fixed N.  Each block is an unreduced symmetric tridiagonal (Jacobi)
+matrix when xi > 0, so its eigenvalues are simple and never cross as xi grows
+from 0: the k-th lowest dressed energy belongs to the k-th lowest bare level.
 """
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
-from functools import lru_cache
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .fock import FockCutoff, FockState, annihilation_op, basis_index, eigh, number_op, propagator_from_eigh
 from .trap import TWO_PI, TrapConfig, detune_to, mode_frequencies
@@ -27,7 +25,8 @@ class DynamicsError(ValueError):
 
 
 class AssignmentError(DynamicsError):
-    """Dressed-to-bare assignment failed: max overlap < 0.5 (delta too close to resonance)."""
+    """Dressed-to-bare labeling failed: two bare levels of a coupled manifold
+    coincide (delta = 0), so no dressed branch connects to a single bare state."""
 
 
 @dataclass(frozen=True)
@@ -62,12 +61,9 @@ def conserved_charge(cutoff: FockCutoff) -> np.ndarray:
     return 2 * number_op(cutoff, "a") + number_op(cutoff, "b")
 
 
-def manifold_states(N: int, n_a_cap: int | None = None) -> list[tuple[int, int]]:
+def manifold_states(N: int) -> list[tuple[int, int]]:
     """Bare states (n_a, n_b) with 2 n_a + n_b = N, ordered by increasing n_a."""
-    states = [(n_a, N - 2 * n_a) for n_a in range(N // 2 + 1)]
-    if n_a_cap is not None:
-        states = [s for s in states if s[0] <= n_a_cap]
-    return states
+    return [(n_a, N - 2 * n_a) for n_a in range(N // 2 + 1)]
 
 
 def manifold_block(delta: float, xi: float, N: int) -> tuple[np.ndarray, list[tuple[int, int]]]:
@@ -89,49 +85,20 @@ def manifold_block(delta: float, xi: float, N: int) -> tuple[np.ndarray, list[tu
     return H, states
 
 
-@lru_cache(maxsize=4096)
 def _manifold_dressed_energies(delta: float, xi: float, N: int) -> dict[tuple[int, int], float]:
     """Dressed eigenvalues of manifold N labeled by the bare state each branch is
-    adiabatically connected to.
-
-    The coupling is ramped from 0 to xi; at each step eigenvectors are matched
-    to the tracked ones by maximal overlap (a permutation via the assignment
-    problem).  A step whose best overlap drops below 0.5 is bisected; failure at
-    the minimal step means the branches cannot be told apart, i.e. delta is too
-    small for a dispersive labeling.
-    """
-    D, states = manifold_block(delta, 1.0, N)
-    C = D - np.diag(np.diag(D))     # coupling part at unit xi
-    D = np.diag(np.diag(D))
-    tracked = np.eye(len(states))   # bare basis at xi = 0
-    s = 0.0
-    step = 0.5
-    vals = np.diag(D).copy()
-    while s < 1.0:
-        trial = min(s + step, 1.0)
-        new_vals, vecs = np.linalg.eigh(D + trial * xi * C)
-        overlap = np.abs(tracked.T @ vecs) ** 2
-        row, col = linear_sum_assignment(-overlap)
-        worst = overlap[row, col].min()
-        if worst < 0.5:
-            if step < 1e-6:
-                bad = states[int(row[np.argmin(overlap[row, col])])]
-                raise AssignmentError(
-                    f"cannot assign dressed state near bare |{bad[0]}_a, {bad[1]}_b> "
-                    f"(manifold N={N}): continuation overlap {worst:.3f} < 0.5; "
-                    f"delta/2pi = {delta / TWO_PI:.1f} Hz is too small for the dispersive regime"
-                )
-            step /= 2
-            continue
-        perm = np.empty_like(col)
-        perm[row] = col
-        tracked = vecs[:, perm]
-        vals = new_vals[perm]
-        s = trial
-        step = min(2 * step, 1.0 - s if s < 1.0 else step)
-        if step == 0.0:
-            break
-    return {state: float(v) for state, v in zip(states, vals)}
+    adiabatically connected to: ascending eigenvalues map onto the bare states
+    in ascending order of their bare energy (delta/2) n_b."""
+    H, states = manifold_block(delta, xi, N)
+    bare = np.diag(H)
+    order = np.argsort(bare, kind="stable")
+    if xi != 0 and np.any(np.diff(bare[order]) == 0):
+        raise AssignmentError(
+            f"cannot label dressed states of manifold N={N}: bare levels coincide at "
+            f"delta/2pi = {delta / TWO_PI:.1f} Hz, which is outside the dispersive regime"
+        )
+    vals = np.linalg.eigh(H)[0]
+    return {states[i]: float(v) for i, v in zip(order, vals)}
 
 
 def dressed_energy(delta: float, xi: float, n_a: int, n_b: int) -> float:
@@ -154,22 +121,18 @@ class ShiftTable:
     shift_exact: np.ndarray         # rad/s
     shift_perturbative: np.ndarray  # rad/s, -4 xi^2 n_b / delta
 
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["n_b", "shift_exact_hz", "shift_perturbative_hz"])
-            for n, se, sp in zip(self.n_b, self.shift_exact, self.shift_perturbative):
-                w.writerow([int(n), f"{se / TWO_PI:.12g}", f"{sp / TWO_PI:.12g}"])
-
 
 def dispersive_shift_table(p: CoupledModeParams, n_b_max_report: int) -> ShiftTable:
     """Sideband shift vs n_b from exact manifold diagonalization, plus the
     second-order law -4 xi^2 n_b / delta (both referenced to n_b = 0)."""
     if p.delta == 0:
         raise DynamicsError("dispersive shifts require delta != 0")
-    ref = sideband_offset(p.delta, p.xi, 0)
+    energy = {}
+    for N in range(max(n_b_max_report, 0) + 3):  # |1_a, n_b> lies in manifold n_b + 2
+        energy.update(_manifold_dressed_energies(p.delta, p.xi, N))
+    ref = energy[1, 0] - energy[0, 0]
     n_vals = np.arange(n_b_max_report + 1)
-    exact = np.array([sideband_offset(p.delta, p.xi, int(n)) - ref for n in n_vals])
+    exact = np.array([energy[1, n] - energy[0, n] - ref for n in n_vals])
     pert = -4.0 * p.xi**2 * n_vals / p.delta
     return ShiftTable(n_b=n_vals, shift_exact=exact, shift_perturbative=pert)
 
@@ -181,21 +144,6 @@ class CrossingMap:
     delta_grid: np.ndarray       # rad/s
     branch_energies: np.ndarray  # (grid, branch), rad/s, ascending per row
     branch_weights: np.ndarray   # (grid, branch), summed |<n_a >= 1|eigvec>|^2
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["delta_hz", "branch_index", "energy_hz", "axial_weight"])
-            for i, d in enumerate(self.delta_grid):
-                for j in range(self.branch_energies.shape[1]):
-                    w.writerow(
-                        [
-                            f"{d / TWO_PI:.12g}",
-                            j,
-                            f"{self.branch_energies[i, j] / TWO_PI:.12g}",
-                            f"{self.branch_weights[i, j]:.12g}",
-                        ]
-                    )
 
 
 def crossing_map(cfg: TrapConfig, delta_grid: np.ndarray, manifold_N_max: int) -> CrossingMap:

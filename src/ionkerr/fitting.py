@@ -164,6 +164,9 @@ _FAMILY_BOUNDS = {
     "r": (0.0, 1.5),
 }
 
+# Start value for a family parameter that the caller leaves out.
+_FAMILY_START = {"alpha": 1.0, "nbar": 1.0, "r": 0.5}
+
 # Identifiable scale per parameter: a 1-sigma beyond this means the data do not
 # constrain the parameter within its physically meaningful range.
 _PARAM_SCALES = {"alpha": 10.0, "nbar": 10.0, "r": 1.5, "eta": 1.0, "g": 0.5}
@@ -198,7 +201,8 @@ def fit_parametric(
 
     The population model p_n(params) comes from the closed-form state families;
     bounds are 0 <= eta <= 1, 0 <= g <= 0.5, family parameters in their
-    validity domain.  1-sigma uncertainties come from the Jacobian at the
+    validity domain; a family parameter missing from ``params0`` starts at
+    ``_FAMILY_START``.  1-sigma uncertainties come from the Jacobian at the
     optimum (damped-least-squares trust region via scipy).
     """
     if family not in _FAMILY_PARAMS:
@@ -207,11 +211,13 @@ def fit_parametric(
         )
     names = _FAMILY_PARAMS[family]
     n_fixed = params0.get("n") if family == "squeezed_fock" else None
+    if family == "squeezed_fock" and n_fixed is None:
+        raise FitError("family 'squeezed_fock' needs its fixed Fock index n (e.g. n=1)")
     known_centers = np.asarray(known_centers, dtype=float)
     n_max = len(known_centers) - 1
     sig = point_sigmas(spec)
 
-    x0 = [float(params0[k]) for k in names] + [eta0, g0]
+    x0 = [float(params0.get(k, _FAMILY_START[k])) for k in names] + [eta0, g0]
     lo = [_FAMILY_BOUNDS[k][0] for k in names] + [0.0, 0.0]
     hi = [_FAMILY_BOUNDS[k][1] for k in names] + [1.0, 0.5]
 

@@ -49,11 +49,6 @@ class DriveParams:
         return self.rabi
 
 
-def paper_drive() -> DriveParams:
-    """T_pi = 8 ms on the first axial blue sideband."""
-    return DriveParams(t_pi=8e-3)
-
-
 @dataclass
 class Spectrum:
     """Sampled excitation probability vs drive detuning (rad/s)."""

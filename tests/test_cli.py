@@ -103,6 +103,29 @@ class TestScanAndFit:
         result = json.loads((fit_dir / "fit.json").read_text())
         assert result["p_hat"][10] == pytest.approx(0.80, abs=0.1)
 
+    def test_parametric_fit_without_p0(self, tmp_path):
+        scan_dir = tmp_path / "scan"
+        fit_dir = tmp_path / "fit"
+        assert run("scan", "--out", str(scan_dir), "--state", "thermal:1.5", "--shots", "400") == 0
+        args = ["fit", "--out", str(fit_dir), "--input", str(scan_dir / "scan.csv")]
+        assert run(*args, "--family", "thermal") == 0
+        result = json.loads((fit_dir / "fit.json").read_text())
+        assert result["converged"]
+        assert result["params"]["nbar"] == pytest.approx(1.5, rel=0.15)
+
+    def test_squeezed_fock_fit_takes_integer_n(self, tmp_path, capsys):
+        scan_dir = tmp_path / "scan"
+        fit_dir = tmp_path / "fit"
+        state = "squeezed_fock:n=1,r=0.4"
+        assert run("scan", "--out", str(scan_dir), "--state", state, "--shots", "400") == 0
+        args = ["fit", "--out", str(fit_dir), "--input", str(scan_dir / "scan.csv")]
+        assert run(*args, "--family", "squeezed_fock", "--p0", "n=1", "r=0.4") == 0
+        result = json.loads((fit_dir / "fit.json").read_text())
+        assert result["params"]["n"] == 1
+        assert result["params"]["r"] == pytest.approx(0.4, abs=0.05)
+        assert run(*args, "--family", "squeezed_fock", "--p0", "r=0.4") == 2
+        assert "index n" in capsys.readouterr().err
+
     def test_driven_scan(self, tmp_path):
         assert (
             run(

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from ionkerr import cli
 from ionkerr.dynamics import (
     AssignmentError,
     CoupledModeParams,
@@ -87,7 +88,6 @@ class TestManifolds:
         assert manifold_states(0) == [(0, 0)]
         assert manifold_states(2) == [(0, 2), (1, 0)]
         assert manifold_states(5) == [(0, 5), (1, 3), (2, 1)]
-        assert manifold_states(5, n_a_cap=1) == [(0, 5), (1, 3)]
 
     def test_block_matches_full_hamiltonian(self):
         delta, xi = 7.0, 2.0
@@ -133,10 +133,50 @@ class TestDressedEnergies:
         offsets = [sideband_offset(delta_143, xi_143, n) for n in range(11)]
         assert np.all(np.diff(offsets) < 0)
 
-    def test_assignment_fails_near_resonance(self, xi_143):
+    @pytest.mark.parametrize("N", [2, 7])
+    def test_assignment_fails_near_resonance(self, xi_143, N):
         # at delta = 0 the dressed branches are symmetric mixtures; no bare label applies
         with pytest.raises(AssignmentError, match="dispersive"):
-            dressed_energy(0.0, xi_143, 1, 7)
+            dressed_energy(0.0, xi_143, 1, N - 2)
+
+    def test_uncoupled_resonance_is_zero(self):
+        # delta = 0 with xi = 0: every bare level is 0 and nothing needs labeling
+        for n_a, n_b in [(0, 0), (1, 0), (0, 2), (1, 5), (3, 4)]:
+            assert dressed_energy(0.0, 0.0, n_a, n_b) == 0.0
+
+
+class TestSortedLabelingOracle:
+    """The sorted labeling against the dense Hamiltonian restricted to each manifold."""
+
+    N_MAX = 24
+    CUT = FockCutoff(N_MAX // 2, N_MAX)
+
+    @pytest.mark.parametrize("sign", [1, -1])
+    @pytest.mark.parametrize("delta_hz", [0.2, 1e3, 14.3e3, 80e3])
+    def test_matches_dense_manifold(self, cfg, delta_hz, sign):
+        delta = sign * TWO_PI * delta_hz
+        xi = mode_frequencies(detune_to(cfg, delta)).xi
+        p = CoupledModeParams(delta=delta, xi=xi, cutoff=self.CUT)
+        H = build_hamiltonian(p)
+        charge = np.rint(np.diag(conserved_charge(self.CUT)).real)
+        for N in range(self.N_MAX + 1):
+            idx = np.flatnonzero(charge == N)
+            vals, vecs = np.linalg.eigh(H[np.ix_(idx, idx)])
+            states = manifold_states(N)
+            labeled = np.array([dressed_energy(delta, xi, n_a, n_b) for n_a, n_b in states])
+            scale = max(np.max(np.abs(vals)), 1.0)
+            np.testing.assert_allclose(np.sort(labeled), vals, rtol=0, atol=1e-9 * scale)
+            # A bare label names the dominant component only while mixing is weak:
+            # every coupling element at most half the bare spacing |delta|.  At
+            # 14.3 kHz that holds for N <= 7; from N = 10 on the branches are
+            # strongly mixed, whatever labels them.
+            coupling = np.diag(manifold_block(delta, xi, N)[0], 1)
+            if np.any(coupling > abs(delta) / 2):
+                continue
+            for (n_a, n_b), e in zip(states, labeled):
+                k = np.argmin(np.abs(vals - e))
+                dominant = idx[np.argmax(np.abs(vecs[:, k]) ** 2)]
+                assert dominant == basis_index(n_a, n_b, self.CUT)
 
 
 class TestDispersiveShiftTable:
@@ -173,9 +213,8 @@ class TestDispersiveShiftTable:
 
     def test_csv_round_numbers(self, params_143, tmp_path):
         table = dispersive_shift_table(params_143, 3)
-        path = tmp_path / "shift.csv"
-        table.write_csv(str(path))
-        lines = path.read_text().splitlines()
+        assert cli.main(["shift", "--out", str(tmp_path), "--n-max", "3"]) == 0
+        lines = (tmp_path / "shift.csv").read_text().splitlines()
         assert lines[0] == "n_b,shift_exact_hz,shift_perturbative_hz"
         assert len(lines) == 5
         n, exact, pert = lines[2].split(",")
