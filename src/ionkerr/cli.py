@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import itertools
 import json
 import sys
 from datetime import datetime, timezone
@@ -24,6 +25,7 @@ from .fitting import FitError, fit_free_distribution, fit_parametric
 from .fock import FockCutoff, FockState, basis_index
 from .measure import single_shot
 from .spectra import (
+    SPECTRUM_COLUMNS,
     DriveParams,
     Spectrum,
     add_shot_noise,
@@ -32,6 +34,7 @@ from .spectra import (
     peak_positions,
 )
 from .states import (
+    TAIL_LIMIT,
     StatePrepError,
     embed_radial,
     fock10_imperfect_preset,
@@ -42,6 +45,7 @@ from .states import (
 from .trap import TWO_PI, TrapModelError, detune_to, load_config, mode_frequencies, paper_trap
 
 DEFAULT_CUTOFF = FockCutoff(n_a_max=6, n_b_max=20)
+DRIVEN_N_B_PAD = 6  # the driven scan's radial cutoff is --n-max + DRIVEN_N_B_PAD
 
 
 class CliError(Exception):
@@ -185,11 +189,19 @@ def cmd_scan(args) -> int:
     grid = TWO_PI * np.linspace(args.grid_min_hz, args.grid_max_hz, args.points)
     n_max = args.n_max
     if args.driven:
-        cutoff = FockCutoff(n_a_max=3, n_b_max=n_max + 6, with_qubit=True)
+        # The driven scan is exact; its cutoff only sizes the radial state.
+        cutoff = FockCutoff(n_a_max=1, n_b_max=n_max + DRIVEN_N_B_PAD, with_qubit=True)
         params = _params_at(cfg, delta, cutoff)
-        state, _ = _parse_state(args, cutoff.n_b_max)
+        state, dist = _parse_state(args, cutoff.n_b_max)
         if state is None:
             raise CliError("--driven needs a concrete state, not a distribution preset")
+        if dist.truncation_tail > TAIL_LIMIT:
+            need = next(m for m in itertools.count(n_max + 1)
+                        if _parse_state(args, m + DRIVEN_N_B_PAD)[1].truncation_tail <= TAIL_LIMIT)
+            raise CliError(
+                f"--driven: {args.state} has {dist.truncation_tail:.2e} of its population above "
+                f"n_b = {cutoff.n_b_max}, more than {TAIL_LIMIT}; use --n-max {need}"
+            )
         initial = embed_radial(state, FockCutoff(cutoff.n_a_max, cutoff.n_b_max))
         spectrum = driven_scan(initial, params, drive, grid)
         if args.eta != 1.0 or args.g != 0.0:
@@ -200,16 +212,7 @@ def cmd_scan(args) -> int:
         spectrum = model_spectrum(dist, params, drive, grid, eta=args.eta, g=args.g)
     if args.shots:
         spectrum = add_shot_noise(spectrum, args.shots, args.seed)
-    if args.format == "json":
-        shots = "" if spectrum.shots_per_point is None else spectrum.shots_per_point
-        rows = [
-            [f"{d / TWO_PI:.12g}", f"{p:.12g}", shots]
-            for d, p in zip(spectrum.detuning, spectrum.p_up)
-        ]
-        path = _write_table(out, "scan", ["detuning_hz", "p_up", "shots"], rows, "json")
-    else:
-        path = out / "scan.csv"
-        spectrum.write_csv(str(path))
+    path = _write_table(out, "scan", SPECTRUM_COLUMNS, spectrum.rows(), args.format)
     _write_manifest(out, "scan", config_hash, args.seed, [path.name])
     return 0
 

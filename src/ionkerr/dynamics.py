@@ -8,6 +8,11 @@ The coupling conserves N = 2 n_a + n_b, so the Hamiltonian is block diagonal in
 manifolds of fixed N.  Each block is an unreduced symmetric tridiagonal (Jacobi)
 matrix when xi > 0, so its eigenvalues are simple and never cross as xi grows
 from 0: the k-th lowest dressed energy belongs to the k-th lowest bare level.
+
+A k-th sideband drive sigma+ a^dag^k conserves M = N - 2k sigma_up: block M
+joins manifold M (qubit down) to manifold M + 2k (qubit up).
+``spectra.driven_scan`` is exact on these blocks; its cutoff only sizes the
+initial state.
 """
 
 from __future__ import annotations

@@ -13,11 +13,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoupledModeParams, dispersive_shift_table, dressed_energy
-from .fock import FockCutoff, FockState, annihilation_op, number_op, qubit_op
+from .dynamics import CoupledModeParams, dispersive_shift_table, dressed_energy, manifold_block
+from .fock import FockState
 from .states import PhononDistribution
 from .trap import TWO_PI
 
+SPECTRUM_COLUMNS = ["detuning_hz", "p_up", "shots"]
 
 class SpectroscopyError(ValueError):
     pass
@@ -66,19 +67,22 @@ class Spectrum:
         if np.any((self.p_up < -1e-12) | (self.p_up > 1 + 1e-12)):
             raise SpectroscopyError("p_up values must lie in [0, 1]")
 
+    def rows(self) -> list[list]:
+        """Table rows under SPECTRUM_COLUMNS, as written to CSV and JSON artifacts."""
+        shots = "" if self.shots_per_point is None else self.shots_per_point
+        return [[f"{d / TWO_PI:.12g}", f"{p:.12g}", shots] for d, p in zip(self.detuning, self.p_up)]
+
     def write_csv(self, path: str) -> None:
         with open(path, "w", newline="\n") as fh:
             w = csv.writer(fh, lineterminator="\n")
-            w.writerow(["detuning_hz", "p_up", "shots"])
-            shots = "" if self.shots_per_point is None else self.shots_per_point
-            for d, p in zip(self.detuning, self.p_up):
-                w.writerow([f"{d / TWO_PI:.12g}", f"{p:.12g}", shots])
+            w.writerow(SPECTRUM_COLUMNS)
+            w.writerows(self.rows())
 
     @classmethod
     def read_csv(cls, path: str) -> "Spectrum":
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
-        if not rows or rows[0] != ["detuning_hz", "p_up", "shots"]:
+        if not rows or rows[0] != SPECTRUM_COLUMNS:
             raise SpectroscopyError(f"{path}: expected header detuning_hz,p_up,shots")
         det, pup, shots = [], [], set()
         for row in rows[1:]:
@@ -167,9 +171,11 @@ def driven_scan(
     |down> (x) initial for t_pi under the static rotating-frame Hamiltonian and
     report P(up).
 
-    params.cutoff must carry the qubit; ``initial`` is the motional-only state.
     The drive term is (W_k/2)(sigma+ a^dag^k + h.c.) with k = drive.order; the
     carrier and red-sideband couplings are dropped (resolved-sideband regime).
+    Drive and coupling conserve M = 2 n_a + n_b - 2k sigma_up, so the scan is
+    exact on M-blocks (see ``dynamics``); params.cutoff must carry the qubit but
+    only sizes the basis of ``initial``, the motional-only state.
 
     axis_reference selects the zero of the detuning axis: "dressed" pins it to
     the dressed n_b = 0 sideband (matching ``peak_positions``; requires the
@@ -184,18 +190,7 @@ def driven_scan(
             f"initial state dim {initial.dim} != motional dim {motional_dim}"
         )
 
-    a = annihilation_op(cutoff, "a")
-    b = annihilation_op(cutoff, "b")
-    n_a = number_op(cutoff, "a")
-    n_b = number_op(cutoff, "b")
-    coupling = a.conj().T @ b @ b
-    coupling = coupling + coupling.conj().T
     k = drive.order
-    a_k = np.linalg.matrix_power(a, k)
-    drive_term = 0.5 * drive.drive_rabi * (qubit_op(cutoff, "sigma_plus") @ a_k.conj().T)
-    drive_term = drive_term + drive_term.conj().T
-    up_slice = slice(motional_dim, 2 * motional_dim)
-
     if axis_reference == "dressed":
         # Dressed k-th order n_b = 0 sideband offset relative to the bare one.
         ref = dressed_energy(params.delta, params.xi, k, 0) - dressed_energy(
@@ -206,27 +201,33 @@ def driven_scan(
     else:
         raise SpectroscopyError(f"axis_reference must be 'dressed' or 'bare', got {axis_reference!r}")
 
-    down = np.zeros(2)
-    down[0] = 1.0
-    if initial.is_pure:
-        psi0 = np.kron(down, initial.data)
-    else:
-        rho0 = np.kron(np.outer(down, down), initial.data)
-
     grid = np.asarray(grid, dtype=float)
-    p_up = np.empty(grid.size)
-    for i, det in enumerate(grid):
-        frame = -(det + ref) / k
-        H = frame * n_a + 0.5 * (params.delta + frame) * n_b + params.xi * coupling + drive_term
+    rho = initial.density()
+    n_a, n_b = np.divmod(np.arange(motional_dim), cutoff.dim_b)
+    charge = 2 * n_a + n_b
+    p_up = np.zeros(grid.size)
+    for M in range(int(charge.max()) + 1):
+        # Block M: the down chain of manifold M, then the up chain of M + 2k, both by n_a.
+        idx = np.flatnonzero(charge == M)
+        rho_M = np.zeros((M // 2 + 1,) * 2, dtype=complex)
+        rho_M[np.ix_(n_a[idx], n_a[idx])] = rho[np.ix_(idx, idx)]
+        if not rho_M.any():
+            continue
+        H_down, _ = manifold_block(params.delta, params.xi, M)
+        H_up, _ = manifold_block(params.delta, params.xi, M + 2 * k)
+        m = len(H_down)
+        # sigma+ a^dag^k takes down (n_a, n_b) to up (n_a + k, n_b).
+        n = np.arange(m)
+        V = np.zeros((len(H_up), m))
+        V[n + k, n] = 0.5 * drive.drive_rabi * np.sqrt(np.prod([n + j for j in range(1, k + 1)], axis=0))
+        H = np.repeat(np.block([[H_down, V.T], [V, H_up]])[None], grid.size, axis=0)
+        # The drive frame shifts only the up chain's diagonal.
+        up = np.arange(m, m + len(H_up))
+        H[:, up, up] -= (grid + ref)[:, None]
         vals, vecs = np.linalg.eigh(H)
         phases = np.exp(-1j * vals * drive.t_pi)
-        if initial.is_pure:
-            psi = vecs @ (phases * (vecs.conj().T @ psi0))
-            p_up[i] = float(np.sum(np.abs(psi[up_slice]) ** 2))
-        else:
-            U = (vecs * phases) @ vecs.conj().T
-            rho = U @ rho0 @ U.conj().T
-            p_up[i] = float(np.real(np.trace(rho[up_slice, up_slice])))
+        U = (vecs[:, m:, :] * phases[:, None, :]) @ vecs[:, :m, :].transpose(0, 2, 1)
+        p_up += np.sum((U @ rho_M) * U.conj(), axis=(1, 2)).real
     return Spectrum(grid, np.clip(p_up, 0.0, 1.0))
 
 

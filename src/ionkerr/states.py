@@ -67,6 +67,9 @@ class StateSpec:
     def __post_init__(self):
         if self.family not in FAMILIES:
             raise StatePrepError(f"unknown state family {self.family!r}; expected one of {FAMILIES}")
+        n = self.params.get("n")
+        if self.family in ("fock", "squeezed_fock") and not isinstance(n, (int, np.integer)):
+            raise StatePrepError(f"{self.family} needs an integer Fock index n, got {n!r}")
 
 
 def parse_state_spec(text: str) -> StateSpec:
@@ -169,20 +172,6 @@ def _guarded_expm(generator_fn, n_max: int, guard: int) -> np.ndarray:
     G = generator_fn(_ladder(dim))
     U = expm(G)
     return U[: n_max + 1, : n_max + 1]
-
-
-def displacement_op(alpha: complex, n_max: int) -> np.ndarray:
-    """D(alpha) = exp(alpha b^dag - alpha* b) on the radial mode, unitary on the
-    guarded subspace to better than 1e-8 when the truncation guard holds."""
-    tail = 1.0 - poisson_pops(abs(alpha) ** 2, n_max).sum()
-    if tail > TAIL_LIMIT:
-        need = _suggest_cutoff(lambda m: 1.0 - poisson_pops(abs(alpha) ** 2, m).sum(), n_max)
-        raise StatePrepError(
-            f"displacement tail mass {tail:.2e} beyond n_max={n_max} exceeds {TAIL_LIMIT}; "
-            f"use n_max >= {need}"
-        )
-    guard = max(10, int(np.ceil(4 * abs(alpha) ** 2)))
-    return _guarded_expm(lambda b: alpha * b.conj().T - np.conj(alpha) * b, n_max, guard)
 
 
 def squeeze_op(r: complex, n_max: int) -> np.ndarray:

@@ -154,6 +154,23 @@ class TestScanAndFit:
         assert code == 2
         assert "state" in capsys.readouterr().err
 
+    def test_driven_truncation_names_n_max(self, tmp_path, capsys):
+        # thermal:3 leaves (3/4)^19 = 4.2e-3 above n_b = 18; (3/4)^33 < 1e-4 needs n_b = 32
+        args = ("scan", "--out", str(tmp_path), "--driven", "--state", "thermal:3", "--points", "3")
+        assert run(*args) == 2
+        assert "--n-max 26" in capsys.readouterr().err
+        assert run(*args, "--n-max", "25") == 2
+        assert run(*args, "--n-max", "26") == 0
+
+    def test_scan_json_rows_match_csv(self, tmp_path):
+        for fmt in ("csv", "json"):
+            args = ("scan", "--out", str(tmp_path), "--shots", "400", "--points", "9")
+            assert run(*args, "--format", fmt) == 0
+        rows = json.loads((tmp_path / "scan.json").read_text())
+        lines = (tmp_path / "scan.csv").read_text().splitlines()
+        assert lines[0] == ",".join(rows[0])
+        assert lines[1:] == [",".join(str(v) for v in row.values()) for row in rows]
+
     def test_second_order_flag(self, tmp_path):
         assert (
             run(

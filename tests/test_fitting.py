@@ -11,7 +11,13 @@ from ionkerr.fitting import (
     point_sigmas,
 )
 from ionkerr.spectra import Spectrum, add_shot_noise, lineshape, model_spectrum
-from ionkerr.states import PhononDistribution, StateSpec, distribution, fock10_imperfect_preset
+from ionkerr.states import (
+    PhononDistribution,
+    StatePrepError,
+    StateSpec,
+    distribution,
+    fock10_imperfect_preset,
+)
 from ionkerr.trap import TWO_PI
 
 
@@ -139,6 +145,10 @@ class TestParametric:
         res = fit_parametric(sp, "squeezed_fock", {"n": 2, "r": 0.5}, centers_10, drive)
         assert res.params["n"] == 2
         assert res.params["r"] == pytest.approx(0.3, rel=1e-3)
+
+    def test_squeezed_fock_rejects_float_index(self, thermal_spectrum, drive, centers_10):
+        with pytest.raises(StatePrepError, match="integer Fock index n"):
+            fit_parametric(thermal_spectrum, "squeezed_fock", {"n": 1.0, "r": 0.5}, centers_10, drive)
 
     def test_residual_rms_small_noiseless(self, thermal_spectrum, drive, centers_10):
         res = fit_parametric(thermal_spectrum, "thermal", {"nbar": 1.0}, centers_10, drive)

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from ionkerr.dynamics import CoupledModeParams
-from ionkerr.fock import FockCutoff
+from ionkerr.dynamics import CoupledModeParams, dressed_energy
+from ionkerr.fock import FockCutoff, FockState, annihilation_op, basis_index, number_op, qubit_op
 from ionkerr.spectra import (
     DriveParams,
     SpectroscopyError,
@@ -18,6 +18,42 @@ from ionkerr.spectra import (
 )
 from ionkerr.states import StateSpec, distribution, embed_radial, prepare
 from ionkerr.trap import TWO_PI
+
+
+def dense_driven_scan(initial, params, drive, grid, axis_reference="dressed"):
+    """Reference driven scan: the whole truncated qubit + two-mode Hamiltonian,
+    built from Kronecker operators and diagonalised densely at each detuning.
+    It equals the exact scan when params.cutoff holds every M-block that the
+    initial state touches."""
+    cutoff = params.cutoff
+    motional_dim = cutoff.dim_a * cutoff.dim_b
+    a = annihilation_op(cutoff, "a")
+    b = annihilation_op(cutoff, "b")
+    n_a = number_op(cutoff, "a")
+    n_b = number_op(cutoff, "b")
+    coupling = a.conj().T @ b @ b
+    coupling = coupling + coupling.conj().T
+    k = drive.order
+    a_k = np.linalg.matrix_power(a, k)
+    drive_term = 0.5 * drive.drive_rabi * (qubit_op(cutoff, "sigma_plus") @ a_k.conj().T)
+    drive_term = drive_term + drive_term.conj().T
+    up_slice = slice(motional_dim, 2 * motional_dim)
+    ref = 0.0
+    if axis_reference == "dressed":
+        ref = dressed_energy(params.delta, params.xi, k, 0) - dressed_energy(
+            params.delta, params.xi, 0, 0
+        )
+    down = np.array([1.0, 0.0])
+    rho0 = np.kron(np.outer(down, down), initial.density())
+    p_up = np.empty(len(grid))
+    for i, det in enumerate(grid):
+        frame = -(det + ref) / k
+        H = frame * n_a + 0.5 * (params.delta + frame) * n_b + params.xi * coupling + drive_term
+        vals, vecs = np.linalg.eigh(H)
+        U = (vecs * np.exp(-1j * vals * drive.t_pi)) @ vecs.conj().T
+        rho = U @ rho0 @ U.conj().T
+        p_up[i] = np.real(np.trace(rho[up_slice, up_slice]))
+    return np.clip(p_up, 0.0, 1.0)
 
 
 class TestDriveParams:
@@ -209,6 +245,87 @@ class TestDrivenScan:
             k = int(np.argmax(sp.p_up))
             assert sp.p_up[k] > 0.2
             assert abs(window[k] - t) < TWO_PI * 30.0
+
+
+def _radial_on(cutoff, state_b):
+    """Embed a radial state of smaller dimension into a larger motional cutoff."""
+    pad = cutoff.dim_b - state_b.dim
+    data = np.pad(state_b.data, [(0, pad)] * state_b.data.ndim)
+    return embed_radial(FockState(data), FockCutoff(cutoff.n_a_max, cutoff.n_b_max))
+
+
+def _two_mode(cutoff, amplitudes):
+    """Pure two-mode state from {(n_a, n_b): amplitude}, normalised."""
+    vec = np.zeros(cutoff.dim_a * cutoff.dim_b, dtype=complex)
+    for (n_a, n_b), amp in amplitudes.items():
+        vec[basis_index(n_a, n_b, cutoff)] = amp
+    return FockState(vec / np.linalg.norm(vec))
+
+
+class TestDrivenScanOracle:
+    """The block scan against the dense Kronecker-product scan, at cutoffs that
+    hold every block whole: n_b_max >= M_max + 2k, n_a_max >= (M_max + 2k) // 2."""
+
+    M_MAX = 4  # largest 2 n_a + n_b carried by the initial states below
+
+    def _params(self, delta, xi, order):
+        top = self.M_MAX + 2 * order
+        return CoupledModeParams(delta=delta, xi=xi, cutoff=FockCutoff(top // 2, top, with_qubit=True))
+
+    def _initial(self, name, cutoff):
+        motional = FockCutoff(cutoff.n_a_max, cutoff.n_b_max)
+        if name == "fock":
+            return _radial_on(motional, prepare(StateSpec("fock", {"n": 3}), 4)[0])
+        if name == "coherent":
+            vec = prepare(StateSpec("coherent", {"alpha": 0.2 + 0.1j}), 8)[0].data[:5]
+            return _radial_on(motional, FockState(vec / np.linalg.norm(vec)))
+        if name == "thermal":
+            return _radial_on(motional, prepare(StateSpec("thermal", {"nbar": 1.5}), 4)[0])
+        if name == "non_embedded":
+            # (|1_a,0_b> + |0_a,2_b>)/sqrt2 in M = 2, plus a coherence with M = 1
+            return _two_mode(motional, {(1, 0): 1.0, (0, 2): 1.0, (0, 1): 0.5j})
+        rho = _two_mode(motional, {(1, 0): 1.0, (0, 2): -1.0}).density()
+        rho = 0.5 * rho + 0.5 * _two_mode(motional, {(2, 0): 1.0, (0, 1): 1.0}).density()
+        return FockState(rho)
+
+    @pytest.mark.parametrize("state", ["fock", "coherent", "thermal", "non_embedded", "mixed"])
+    @pytest.mark.parametrize("order", [1, 2])
+    @pytest.mark.parametrize("axis_reference", ["dressed", "bare"])
+    def test_matches_dense(self, delta_143, xi_143, drive, state, order, axis_reference):
+        params = self._params(delta_143, xi_143, order)
+        initial = self._initial(state, params.cutoff)
+        d = DriveParams(t_pi=drive.t_pi, order=order)
+        grid = TWO_PI * np.linspace(-2500.0, 500.0, 25)
+        got = driven_scan(initial, params, d, grid, axis_reference=axis_reference).p_up
+        want = dense_driven_scan(initial, params, d, grid, axis_reference=axis_reference)
+        assert np.max(np.abs(got - want)) < 1e-12
+        assert np.max(want) > 0.05  # the window holds excitation, not only zeros
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_near_resonance(self, cfg, order):
+        from ionkerr.trap import detune_to, mode_frequencies
+
+        delta = TWO_PI * 200.0
+        xi = mode_frequencies(detune_to(cfg, delta)).xi
+        params = self._params(delta, xi, order)
+        initial = self._initial("mixed", params.cutoff)
+        d = DriveParams(t_pi=8e-3, order=order)
+        grid = TWO_PI * np.linspace(-2e3, 2e3, 11)
+        got = driven_scan(initial, params, d, grid, axis_reference="bare").p_up
+        want = dense_driven_scan(initial, params, d, grid, axis_reference="bare")
+        assert np.max(np.abs(got - want)) < 1e-12
+
+    @pytest.mark.parametrize("order", [1, 2])
+    def test_axial_cutoff_only_sizes_the_state(self, delta_143, xi_143, drive, order):
+        state, _ = prepare(StateSpec("thermal", {"nbar": 1.5}), 18)
+        d = DriveParams(t_pi=drive.t_pi, order=order)
+        grid = TWO_PI * np.linspace(-4.5e3, 1.5e3, 21)
+        scans = []
+        for n_a_max in (1, 6):
+            p = CoupledModeParams(delta_143, xi_143, FockCutoff(n_a_max, 18, with_qubit=True))
+            init = embed_radial(state, FockCutoff(n_a_max, 18))
+            scans.append(driven_scan(init, p, d, grid).p_up)
+        assert np.array_equal(scans[0], scans[1])
 
 
 class TestShotNoise:

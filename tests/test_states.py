@@ -7,7 +7,6 @@ from ionkerr.fock import FockCutoff, FockSpaceError
 from ionkerr.states import (
     StatePrepError,
     StateSpec,
-    displacement_op,
     distribution,
     embed_radial,
     family_populations,
@@ -91,20 +90,6 @@ class TestClosedFormPopulations:
 
 
 class TestOperatorConstructions:
-    def test_displacement_unitary_on_guarded_block(self):
-        D = displacement_op(1.0, 20)
-        defect = (D.conj().T @ D - np.eye(21))[:8, :8]
-        assert np.max(np.abs(defect)) < 1e-6
-
-    def test_displacement_vacuum_gives_coherent(self):
-        alpha = 0.8
-        D = displacement_op(alpha, 20)
-        assert np.allclose(np.abs(D[:, 0]) ** 2, poisson_pops(alpha**2, 20), atol=1e-10)
-
-    def test_displacement_tail_guard(self):
-        with pytest.raises(StatePrepError, match="n_max"):
-            displacement_op(3.0, 10)
-
     def test_squeeze_unitary_on_guarded_block(self):
         S = squeeze_op(0.6, 60)
         defect = (S.conj().T @ S - np.eye(61))[:7, :7]
