@@ -173,10 +173,21 @@ def cmd_shift(args) -> int:
 
 
 def _parse_state(args, n_max: int):
+    """The --state at radial cutoff n_max, which is --n-max plus any pad the
+    command adds. More than TAIL_LIMIT of its population above the cutoff is
+    an error that names the smallest --n-max that suffices."""
     if args.state == "fock10_imperfect":
         return None, fock10_imperfect_preset(n_max)
     spec = parse_state_spec(args.state)
     state, dist = prepare(spec, n_max)
+    if dist.truncation_tail > TAIL_LIMIT:
+        pad = n_max - args.n_max
+        need = next(m for m in itertools.count(args.n_max + 1)
+                    if prepare(spec, m + pad)[1].truncation_tail <= TAIL_LIMIT)
+        raise CliError(
+            f"{args.state} has {dist.truncation_tail:.2e} of its population above "
+            f"n_b = {n_max}, more than {TAIL_LIMIT}; use --n-max {need}"
+        )
     return state, dist
 
 
@@ -195,13 +206,6 @@ def cmd_scan(args) -> int:
         state, dist = _parse_state(args, cutoff.n_b_max)
         if state is None:
             raise CliError("--driven needs a concrete state, not a distribution preset")
-        if dist.truncation_tail > TAIL_LIMIT:
-            need = next(m for m in itertools.count(n_max + 1)
-                        if _parse_state(args, m + DRIVEN_N_B_PAD)[1].truncation_tail <= TAIL_LIMIT)
-            raise CliError(
-                f"--driven: {args.state} has {dist.truncation_tail:.2e} of its population above "
-                f"n_b = {cutoff.n_b_max}, more than {TAIL_LIMIT}; use --n-max {need}"
-            )
         initial = embed_radial(state, FockCutoff(cutoff.n_a_max, cutoff.n_b_max))
         spectrum = driven_scan(initial, params, drive, grid)
         if args.eta != 1.0 or args.g != 0.0:

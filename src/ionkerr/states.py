@@ -5,6 +5,8 @@ Embedding into the two-mode space (axial vacuum) is ``embed_radial``.
 
 Conventions: D(alpha) = exp(alpha b^dag - alpha* b); S(r) = exp((r* b^2 - r b^dag^2)/2)
 (the standard anti-Hermitian exponent; all populations depend on |r| only).
+The Fock matrix elements of S(r) come from an exact recurrence
+(``squeeze_elements``), so no larger space is built and truncated.
 """
 
 from __future__ import annotations
@@ -13,13 +15,13 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import expm
 from scipy.special import gammaln, i0
 
-from .fock import FockCutoff, FockSpaceError, FockState, _ladder
+from .fock import FockCutoff, FockSpaceError, FockState
 
 TAIL_LIMIT = 1e-4
 WALK_TAIL_LIMIT = 1e-3
+THERMAL_SUM_TAIL = 1e-17  # thermal weight family_populations may leave out
 
 FAMILIES = ("fock", "coherent", "thermal", "squeezed_vacuum", "squeezed_thermal", "squeezed_fock")
 
@@ -166,12 +168,36 @@ def squeezed_vacuum_pops(r_mag: float, n_max: int) -> np.ndarray:
 # --- operator constructions ---------------------------------------------------
 
 
-def _guarded_expm(generator_fn, n_max: int, guard: int) -> np.ndarray:
-    """expm of a single-mode generator built at dim n_max + 1 + guard, truncated back."""
-    dim = n_max + 1 + guard
-    G = generator_fn(_ladder(dim))
-    U = expm(G)
-    return U[: n_max + 1, : n_max + 1]
+def squeeze_elements(r: complex, rows: int, cols: int) -> np.ndarray:
+    """<m|S(r)|n> for m <= rows and n <= cols, exact (Kim, de Oliveira & Knight,
+    PRA 40, 2494 (1989)); complex when r has a phase.
+
+    Column 0 is the squeezed vacuum. With mu = cosh|r| and nu = sinh|r|,
+    b^dag S = S(mu b^dag - nu b) for real r gives
+    S|n+1> = (b^dag S|n> + nu sqrt(n) S|n-1>) / (mu sqrt(n+1)).
+    Row m of a column needs only rows <= m of the earlier ones, so truncating
+    the rows loses nothing. r = |r| e^(i theta) multiplies element (m, n) by
+    e^(i theta (m - n)/2).
+
+    Rounding error grows along the diagonal: against the same recurrence at
+    50 digits it is 3e-12 for a 41 x 41 block at r = 0.7 and 1e-9 for 61 x 61,
+    while blocks with min(rows, cols) <= 10 stay near 1e-15.
+    """
+    r_mag, theta = abs(r), float(np.angle(r))
+    mu, nu = np.cosh(r_mag), np.sinh(r_mag)
+    S = np.zeros((rows + 1, cols + 1))
+    k = np.arange(1, rows // 2 + 1)
+    S[0::2, 0] = np.cumprod(np.append(mu**-0.5, -np.tanh(r_mag) * np.sqrt((2 * k - 1) / (2 * k))))
+    sq = np.sqrt(np.arange(max(rows, cols) + 1))
+    for n in range(cols):
+        S[1:, n + 1] = sq[1 : rows + 1] * S[:-1, n]
+        if n:
+            S[:, n + 1] += nu * sq[n] * S[:, n - 1]
+        S[:, n + 1] /= mu * sq[n + 1]
+    if theta:
+        m, n = np.ogrid[: rows + 1, : cols + 1]
+        return S * np.exp(0.5j * theta * (m - n))
+    return S
 
 
 def squeeze_op(r: complex, n_max: int) -> np.ndarray:
@@ -188,10 +214,7 @@ def squeeze_op(r: complex, n_max: int) -> np.ndarray:
             f"squeeze tail mass {tail:.2e} beyond n_max={n_max} exceeds {TAIL_LIMIT}; "
             f"use n_max >= {need}"
         )
-    guard = max(10, int(np.ceil(4 * np.sinh(r_mag) ** 2)))
-    return _guarded_expm(
-        lambda b: 0.5 * (np.conj(r) * (b @ b) - r * (b.conj().T @ b.conj().T)), n_max, guard
-    )
+    return squeeze_elements(r, n_max, n_max).astype(complex)
 
 
 def _suggest_cutoff(tail_fn, start: int, limit: float = TAIL_LIMIT) -> int:
@@ -279,9 +302,9 @@ def prepare(spec: StateSpec, n_max: int) -> tuple[FockState, PhononDistribution]
 def distribution(spec: StateSpec, n_max: int) -> PhononDistribution:
     """Population vector only (used as the model p_n(params) in spectral fits).
 
-    Unlike prepare(), this never fails on truncation: squeezed families are
-    evaluated at an enlarged internal cutoff and the weight above n_max is
-    reported as truncation_tail.
+    Unlike prepare(), this never fails on truncation: squeezed families come
+    from family_populations, and the weight above n_max is reported as
+    truncation_tail.
     """
     if spec.family in ("squeezed_vacuum", "squeezed_thermal", "squeezed_fock"):
         return family_populations(spec, n_max)
@@ -289,22 +312,30 @@ def distribution(spec: StateSpec, n_max: int) -> PhononDistribution:
 
 
 def family_populations(spec: StateSpec, n_max: int) -> PhononDistribution:
-    """Populations over 0..n_max, computed at an enlarged internal cutoff for the
-    squeezed matrix constructions (squeezing spreads population by ~e^(2|r|)).
+    """Populations over 0..n_max from the exact squeeze matrix elements.
 
-    The remainder above n_max is reported as truncation_tail, never folded back.
+    squeezed_fock takes |<m|S|n>|^2 down column n; squeezed_thermal sums
+    p_th(n) |<m|S|n>|^2 over thermal columns until the thermal weight left
+    out is below THERMAL_SUM_TAIL. The remainder above n_max is reported as
+    truncation_tail, never folded back and never raised on.
     """
+    r_mag = abs(spec.params.get("r", 0.0))
     if spec.family == "squeezed_vacuum":
-        p = squeezed_vacuum_pops(abs(spec.params["r"]), n_max)
-        return PhononDistribution(p, truncation_tail=max(0.0, 1.0 - p.sum()))
-    if spec.family in ("squeezed_thermal", "squeezed_fock"):
-        r_mag = abs(spec.params["r"])
-        work = max(40, int(np.ceil((n_max + 5) * np.exp(2 * r_mag))) + 10)
-        p_full = prepare(spec, work)[1].p
-        p = p_full[: n_max + 1]
-        return PhononDistribution(p, truncation_tail=max(0.0, 1.0 - p.sum()))
-    dist = distribution(spec, n_max)
-    return dist
+        p = squeezed_vacuum_pops(r_mag, n_max)
+    elif spec.family == "squeezed_fock":
+        n = spec.params["n"]
+        if n < 0:
+            raise StatePrepError(f"squeezed_fock needs n >= 0, got {n}")
+        p = squeeze_elements(r_mag, n_max, n)[:, n] ** 2
+    elif spec.family == "squeezed_thermal":
+        nbar = spec.params["nbar"]
+        # columns 0..cols leave out the thermal weight (nbar / (1 + nbar))^(cols + 1)
+        cols = int(np.log(THERMAL_SUM_TAIL) / np.log(nbar / (1 + nbar))) if nbar > 0 else 0
+        # |<m|S|n>| = |<n|S|m>| (S(r)^T = S(-r)), so recur over the short side
+        p = thermal_pops(nbar, cols) @ squeeze_elements(r_mag, cols, n_max) ** 2
+    else:
+        return distribution(spec, n_max)
+    return PhononDistribution(p, truncation_tail=max(0.0, 1.0 - p.sum()))
 
 
 def fock10_imperfect_preset(n_max: int = 12) -> PhononDistribution:

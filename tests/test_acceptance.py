@@ -262,7 +262,8 @@ def test_criterion_12_determinism(capsys, tmp_path):
     d1, d2 = tmp_path / "a", tmp_path / "b"
     for d in (d1, d2):
         code = cli_main(
-            ["scan", "--out", str(d), "--state", "thermal:1.0", "--shots", "150", "--seed", "7"]
+            ["scan", "--out", str(d), "--state", "thermal:1.0", "--n-max", "13", "--shots", "150",
+             "--seed", "7"]
         )
         assert code == 0
     scans_identical = (d1 / "scan.csv").read_bytes() == (d2 / "scan.csv").read_bytes()

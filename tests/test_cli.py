@@ -62,7 +62,8 @@ class TestCrossingAndShift:
 
 class TestScanAndFit:
     def test_scan_artifact(self, tmp_path):
-        assert run("scan", "--out", str(tmp_path), "--state", "thermal:1.5", "--shots", "200") == 0
+        thermal = ("--state", "thermal:1.5", "--n-max", "18")
+        assert run("scan", "--out", str(tmp_path), *thermal, "--shots", "200") == 0
         sp = Spectrum.read_csv(str(tmp_path / "scan.csv"))
         assert sp.shots_per_point == 200
         assert sp.detuning.size == 161
@@ -70,7 +71,8 @@ class TestScanAndFit:
     def test_round_trip_thermal(self, tmp_path):
         scan_dir = tmp_path / "scan"
         fit_dir = tmp_path / "fit"
-        assert run("scan", "--out", str(scan_dir), "--state", "thermal:1.5", "--shots", "400") == 0
+        thermal = ("--state", "thermal:1.5", "--n-max", "18")
+        assert run("scan", "--out", str(scan_dir), *thermal, "--shots", "400") == 0
         assert (
             run(
                 "fit",
@@ -106,7 +108,8 @@ class TestScanAndFit:
     def test_parametric_fit_without_p0(self, tmp_path):
         scan_dir = tmp_path / "scan"
         fit_dir = tmp_path / "fit"
-        assert run("scan", "--out", str(scan_dir), "--state", "thermal:1.5", "--shots", "400") == 0
+        thermal = ("--state", "thermal:1.5", "--n-max", "18")
+        assert run("scan", "--out", str(scan_dir), *thermal, "--shots", "400") == 0
         args = ["fit", "--out", str(fit_dir), "--input", str(scan_dir / "scan.csv")]
         assert run(*args, "--family", "thermal") == 0
         result = json.loads((fit_dir / "fit.json").read_text())
@@ -161,6 +164,14 @@ class TestScanAndFit:
         assert "--n-max 26" in capsys.readouterr().err
         assert run(*args, "--n-max", "25") == 2
         assert run(*args, "--n-max", "26") == 0
+
+    def test_scan_truncation_names_n_max(self, tmp_path, capsys):
+        # thermal:3 leaves (3/4)^13 = 2.4e-2 above n_b = 12; (3/4)^33 < 1e-4 needs n_b = 32
+        args = ("scan", "--out", str(tmp_path), "--state", "thermal:3", "--points", "3")
+        assert run(*args) == 2
+        assert "--n-max 32" in capsys.readouterr().err
+        assert run(*args, "--n-max", "31") == 2
+        assert run(*args, "--n-max", "32") == 0
 
     def test_scan_json_rows_match_csv(self, tmp_path):
         for fmt in ("csv", "json"):
@@ -233,6 +244,14 @@ class TestShots:
         se = np.sqrt(summary["expected_bright"] * (1 - summary["expected_bright"]) / 2000)
         assert abs(summary["bright_fraction"] - summary["expected_bright"]) < 4 * se
 
+    def test_truncation_names_n_max(self, tmp_path, capsys):
+        # thermal:10 leaves (10/11)^6 = 0.56 above n_b = 5; (10/11)^97 < 1e-4 needs n_b = 96
+        args = ("shots", "--out", str(tmp_path), "--state", "thermal:10", "--num-shots", "10")
+        assert run(*args, "--n-max", "5") == 2
+        assert "--n-max 96" in capsys.readouterr().err
+        assert run(*args, "--n-max", "95") == 2
+        assert run(*args, "--n-max", "96") == 0
+
 
 class TestWalk:
     def test_artifact(self, tmp_path):
@@ -263,7 +282,8 @@ class TestErrorsAndDeterminism:
         d1, d2 = tmp_path / "a", tmp_path / "b"
         for d in (d1, d2):
             assert (
-                run("scan", "--out", str(d), "--state", "thermal:1.0", "--shots", "150", "--seed", "7")
+                run("scan", "--out", str(d), "--state", "thermal:1.0", "--n-max", "13",
+                    "--shots", "150", "--seed", "7")
                 == 0
             )
         assert (d1 / "scan.csv").read_bytes() == (d2 / "scan.csv").read_bytes()

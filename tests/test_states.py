@@ -1,9 +1,12 @@
 """Radial-mode state preparation, closed-form populations, and the random walk."""
 
+import functools
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from ionkerr.fock import FockCutoff, FockSpaceError
+from ionkerr.fock import FockCutoff, FockSpaceError, _ladder
 from ionkerr.states import (
     StatePrepError,
     StateSpec,
@@ -16,12 +19,68 @@ from ionkerr.states import (
     poisson_pops,
     prepare,
     random_walk_thermal,
+    squeeze_elements,
     squeeze_op,
     squeezed_vacuum_pops,
     thermal_pops,
     thermal_state,
     two_pulse_vacuum_probability,
 )
+
+
+def _guarded_expm(generator_fn, n_max: int, guard: int) -> np.ndarray:
+    """expm of a single-mode generator built at dim n_max + 1 + guard, truncated back."""
+    dim = n_max + 1 + guard
+    G = generator_fn(_ladder(dim))
+    U = expm(G)
+    return U[: n_max + 1, : n_max + 1]
+
+
+@functools.lru_cache(maxsize=None)
+def dense_squeeze(r: complex, n_max: int, guard: int) -> np.ndarray:
+    """The dense oracle for squeeze_elements: S(r) by expm, truncated back."""
+    return _guarded_expm(
+        lambda b: 0.5 * (np.conj(r) * (b @ b) - r * (b.conj().T @ b.conj().T)), n_max, guard
+    )
+
+
+def converged_squeeze(r: complex, rows: int, cols: int) -> np.ndarray:
+    # dim 401: against dim 300 the leading 41 x 41 block moves by < 1e-12 at r = 1.5
+    return dense_squeeze(r, 400, 0)[: rows + 1, : cols + 1]
+
+
+def dense_family_populations(spec: StateSpec, n_max: int) -> np.ndarray:
+    """The populations family_populations gave before the recurrence: the dense
+    squeeze at the work cutoff max(40, (n_max + 5) e^(2r) + 10), guard
+    max(10, 4 sinh^2 r), and the thermal weights up to the work cutoff."""
+    r = abs(spec.params["r"])
+    work = max(40, int(np.ceil((n_max + 5) * np.exp(2 * r))) + 10)
+    guard = max(10, int(np.ceil(4 * np.sinh(r) ** 2)))
+    S2 = np.abs(dense_squeeze(r, work, guard)) ** 2
+    if spec.family == "squeezed_thermal":
+        return (S2 @ thermal_pops(spec.params["nbar"], work))[: n_max + 1]
+    return S2[: n_max + 1, spec.params["n"]]
+
+
+def mp_squeeze_elements(r: float, rows: int, cols: int) -> np.ndarray:
+    """squeeze_elements' recurrence for real r, run in mpmath at 50 digits."""
+    mpmath = pytest.importorskip("mpmath")
+    with mpmath.workdps(50):
+        r = mpmath.mpf(r)
+        mu, nu = mpmath.cosh(r), mpmath.sinh(r)
+        S = [[mpmath.mpf(0)] * (cols + 1) for _ in range(rows + 1)]
+        for k in range(rows // 2 + 1):
+            S[2 * k][0] = (
+                (-mpmath.tanh(r)) ** k
+                * mpmath.sqrt(mpmath.factorial(2 * k))
+                / (2**k * mpmath.factorial(k) * mpmath.sqrt(mu))
+            )
+        for n in range(cols):
+            for m in range(rows + 1):
+                up = mpmath.sqrt(m) * S[m - 1][n] if m else 0
+                down = nu * mpmath.sqrt(n) * S[m][n - 1] if n else 0
+                S[m][n + 1] = (up + down) / (mu * mpmath.sqrt(n + 1))
+        return np.array([[float(x) for x in row] for row in S])
 
 
 class TestSpecParsing:
@@ -103,9 +162,41 @@ class TestOperatorConstructions:
         with pytest.raises(StatePrepError):
             squeeze_op(2.0, 10)
 
+    def test_squeeze_op_exact_at_the_edge(self):
+        # a guard of 10 states left column 30 of S(0.7) wrong by 0.35
+        assert np.max(np.abs(squeeze_op(0.7, 30) - converged_squeeze(0.7, 30, 30))) < 1e-11
+
     def test_thermal_state_diagonal(self):
         rho = thermal_state(0.5, 10)
         assert np.max(np.abs(rho.data - np.diag(np.diag(rho.data)))) == 0
+
+
+SQUEEZE_SHAPES = [(40, 40), (10, 60), (60, 10)]
+
+
+class TestSqueezeRecurrence:
+    @pytest.mark.parametrize("phase", [None, 0.9])
+    @pytest.mark.parametrize("r_mag", [0.2, 0.7, 1.5])
+    def test_matches_converged_expm(self, r_mag, phase):
+        r = r_mag if phase is None else r_mag * np.exp(1j * phase)
+        for rows, cols in SQUEEZE_SHAPES:
+            S = squeeze_elements(r, rows, cols)
+            assert S.shape == (rows + 1, cols + 1)
+            assert np.max(np.abs(S - converged_squeeze(r, rows, cols))) < 1e-11
+
+    def test_negative_real_r(self):
+        S = squeeze_elements(-0.7, 20, 20)
+        assert np.max(np.abs(S - converged_squeeze(-0.7, 20, 20))) < 1e-11
+
+    @pytest.mark.parametrize("r", [0.2, 0.7, 1.5])
+    def test_matches_mpmath(self, r):
+        for rows, cols in SQUEEZE_SHAPES:
+            S = squeeze_elements(r, rows, cols)
+            assert np.max(np.abs(S - mp_squeeze_elements(r, rows, cols))) < 1e-11
+
+    def test_real_r_gives_real_elements(self):
+        assert np.isrealobj(squeeze_elements(0.7, 5, 5))
+        assert np.iscomplexobj(squeeze_elements(0.7j, 5, 5))
 
 
 class TestPrepare:
@@ -139,6 +230,11 @@ class TestPrepare:
         expected = 0.8 * np.cosh(0.4) ** 2 + 1.8 * np.sinh(0.4) ** 2
         assert dist.mean() == pytest.approx(expected, rel=1e-3)
 
+    def test_squeezed_fock_exact_at_the_edge(self):
+        # the former guard of 10 states moved p_n by 4.7e-7 here
+        _, dist = prepare(StateSpec("squeezed_fock", {"n": 10, "r": 0.5}), 40)
+        assert np.max(np.abs(dist.p - np.abs(converged_squeeze(0.5, 40, 10)[:, 10]) ** 2)) < 1e-11
+
     def test_squeezed_fock_mean(self):
         n, r = 1, 0.5
         _, dist = prepare(StateSpec("squeezed_fock", {"n": n, "r": r}), 60)
@@ -165,6 +261,45 @@ class TestDistribution:
     def test_matches_family_populations(self):
         spec = StateSpec("squeezed_fock", {"n": 1, "r": 0.5})
         assert np.allclose(distribution(spec, 10).p, family_populations(spec, 10).p)
+
+    def test_strong_squeezing_at_small_cutoff_does_not_raise(self):
+        dist = distribution(StateSpec("squeezed_fock", {"n": 1, "r": 1.5}), 10)
+        assert dist.truncation_tail > 0.5
+        assert dist.p.sum() + dist.truncation_tail == pytest.approx(1.0, abs=1e-12)
+
+
+R_GRID = [0.01, 0.2, 0.55, 0.9, 1.2, 1.5]
+
+
+class TestFamilyPopulationsOracle:
+    @pytest.mark.parametrize("r", R_GRID)
+    @pytest.mark.parametrize("nbar", [0.0, 0.3, 0.8, 2.0])
+    def test_squeezed_thermal(self, nbar, r):
+        spec = StateSpec("squeezed_thermal", {"nbar": nbar, "r": r})
+        dist = family_populations(spec, 10)
+        assert np.max(np.abs(dist.p - dense_family_populations(spec, 10))) < 1e-12
+        assert dist.p.sum() + dist.truncation_tail == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("r", R_GRID)
+    @pytest.mark.parametrize("n", [0, 1, 2, 5])
+    def test_squeezed_fock(self, n, r):
+        spec = StateSpec("squeezed_fock", {"n": n, "r": r})
+        dist = family_populations(spec, 10)
+        assert np.max(np.abs(dist.p - dense_family_populations(spec, 10))) < 1e-12
+        assert dist.p.sum() + dist.truncation_tail == pytest.approx(1.0, abs=1e-12)
+
+    def test_thermal_columns_beyond_the_former_work_cutoff(self):
+        # At nbar = 10 the former work cutoff (51 states at r = 0.5) dropped thermal
+        # columns worth 6e-10 in p_n <= 10. Summing all 401 columns of the converged
+        # operator, whose thermal weight beyond is (10/11)^401 < 1e-16, settles it.
+        spec = StateSpec("squeezed_thermal", {"nbar": 10.0, "r": 0.5})
+        converged = (np.abs(converged_squeeze(0.5, 400, 400)) ** 2 @ thermal_pops(10.0, 400))[:11]
+        assert np.max(np.abs(family_populations(spec, 10).p - converged)) < 1e-13
+        assert np.max(np.abs(dense_family_populations(spec, 10) - converged)) > 1e-10
+
+    def test_negative_fock_index_rejected(self):
+        with pytest.raises(StatePrepError, match="n >= 0"):
+            family_populations(StateSpec("squeezed_fock", {"n": -1, "r": 0.5}), 10)
 
 
 class TestFockPreset:
