@@ -14,7 +14,7 @@ from .dynamics import (
     dispersive_shift_table,
     exchange_trace,
 )
-from .fock import FockCutoff, FockState, annihilation_op, basis_index, eigh, evolve, expectation
+from .fock import FockCutoff, FockState, annihilation_op, basis_index
 from .measure import ShotRecord, repeated_interrogation, single_shot
 from .spectra import DriveParams, Spectrum, add_shot_noise, driven_scan, lineshape, model_spectrum, peak_positions
 from .states import PhononDistribution, StateSpec, parse_state_spec, prepare, random_walk_thermal

@@ -36,6 +36,7 @@ from .spectra import (
 from .states import (
     TAIL_LIMIT,
     StatePrepError,
+    distribution,
     embed_radial,
     fock10_imperfect_preset,
     parse_state_spec,
@@ -179,16 +180,16 @@ def _parse_state(args, n_max: int):
     if args.state == "fock10_imperfect":
         return None, fock10_imperfect_preset(n_max)
     spec = parse_state_spec(args.state)
-    state, dist = prepare(spec, n_max)
-    if dist.truncation_tail > TAIL_LIMIT:
+    tail = distribution(spec, n_max).truncation_tail
+    if tail > TAIL_LIMIT:
         pad = n_max - args.n_max
         need = next(m for m in itertools.count(args.n_max + 1)
-                    if prepare(spec, m + pad)[1].truncation_tail <= TAIL_LIMIT)
+                    if distribution(spec, m + pad).truncation_tail <= TAIL_LIMIT)
         raise CliError(
-            f"{args.state} has {dist.truncation_tail:.2e} of its population above "
+            f"{args.state} has {tail:.2e} of its population above "
             f"n_b = {n_max}, more than {TAIL_LIMIT}; use --n-max {need}"
         )
-    return state, dist
+    return prepare(spec, n_max)
 
 
 def cmd_scan(args) -> int:

@@ -11,17 +11,22 @@ from 0: the k-th lowest dressed energy belongs to the k-th lowest bare level.
 
 A k-th sideband drive sigma+ a^dag^k conserves M = N - 2k sigma_up: block M
 joins manifold M (qubit down) to manifold M + 2k (qubit up).
-``spectra.driven_scan`` is exact on these blocks; its cutoff only sizes the
-initial state.
+
+Every evolution in the package runs on these blocks: ``manifold_blocks``
+splits a state into its N-diagonal blocks and ``block_populations`` evolves
+one block from its eigendecomposition.  ``exchange_trace`` and
+``spectra.driven_scan`` are exact, so a cutoff only sizes the initial state.
+``build_hamiltonian`` keeps the dense Kronecker form as a reference.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import FockCutoff, FockState, annihilation_op, basis_index, eigh, number_op, propagator_from_eigh
+from .fock import FockCutoff, FockSpaceError, FockState, annihilation_op, basis_index, number_op
 from .trap import TWO_PI, TrapConfig, detune_to, mode_frequencies
 
 
@@ -88,6 +93,41 @@ def manifold_block(delta: float, xi: float, N: int) -> tuple[np.ndarray, list[tu
             if j < m:
                 H[i, j] = H[j, i] = xi * np.sqrt((n_a + 1) * n_b * (n_b - 1))
     return H, states
+
+
+def manifold_blocks(rho: np.ndarray, cutoff: FockCutoff) -> Iterator[tuple[int, np.ndarray]]:
+    """The nonzero N-diagonal blocks (N, rho_N) of a two-mode density matrix on
+    ``cutoff``'s motional space, indexed by n_a as in ``manifold_block``.
+
+    Entries of a manifold that the cutoff leaves out are zero; the couplings
+    and the drive conserve N (or M), so the blocks between different N never
+    enter a population.
+    """
+    dim = cutoff.dim_a * cutoff.dim_b
+    if rho.shape != (dim, dim):
+        raise FockSpaceError(f"state dim {rho.shape[0]} != motional dim {dim}")
+    n_a, n_b = np.divmod(np.arange(dim), cutoff.dim_b)
+    charge = 2 * n_a + n_b
+    for N in range(int(charge.max()) + 1):
+        idx = np.flatnonzero(charge == N)
+        rho_N = np.zeros((N // 2 + 1,) * 2, dtype=complex)
+        rho_N[np.ix_(n_a[idx], n_a[idx])] = rho[np.ix_(idx, idx)]
+        if rho_N.any():
+            yield N, rho_N
+
+
+def block_populations(vals: np.ndarray, vecs: np.ndarray, rho: np.ndarray, t) -> np.ndarray:
+    """diag(U rho U^dag) with U = exp(-i H t), from ``eigh`` (vals, vecs) of a
+    real symmetric block H, for a state rho on its first len(rho) basis states.
+
+    Leading axes of (vals, vecs) and of t broadcast against each other.
+    """
+    # Basis states past rho's last nonzero row add nothing: only U's first s
+    # columns enter (s = 1 for a radial state embedded in the axial vacuum).
+    s = np.flatnonzero(rho.any(axis=0)).max(initial=-1) + 1
+    phases = np.exp(-1j * vals * np.asarray(t)[..., None])
+    U = (vecs * phases[..., None, :]) @ vecs[..., :s, :].swapaxes(-1, -2)
+    return np.sum((U @ rho[:s, :s]) * U.conj(), axis=-1).real
 
 
 def _manifold_dressed_energies(delta: float, xi: float, N: int) -> dict[tuple[int, int], float]:
@@ -184,23 +224,23 @@ def exchange_trace(
     t_grid: np.ndarray,
     track: list[tuple[int, int]] | None = None,
 ) -> dict[tuple[int, int], np.ndarray]:
-    """Populations of selected bare states along a time grid (default |1,0>, |0,2>)."""
+    """Populations of selected bare states along a time grid (default |1,0>, |0,2>).
+
+    Exact on the manifold blocks: p.cutoff only sizes ``initial`` and bounds
+    the states that can be tracked.
+    """
     if track is None:
         track = [(1, 0), (0, 2)]
     initial.validate()
-    H = build_hamiltonian(p)
-    vals, vecs = eigh(H)
-    idx = {s: basis_index(s[0], s[1], p.cutoff) for s in track}
-    out = {s: np.empty(len(t_grid)) for s in track}
-    psi0 = vecs.conj().T @ initial.data if initial.is_pure else None
-    for k, t in enumerate(t_grid):
-        if initial.is_pure:
-            psi = vecs @ (np.exp(-1j * vals * t) * psi0)
-            for s, i in idx.items():
-                out[s][k] = abs(psi[i]) ** 2
-        else:
-            U = propagator_from_eigh(vals, vecs, t)
-            rho = U @ initial.data @ U.conj().T
-            for s, i in idx.items():
-                out[s][k] = rho[i, i].real
+    for s in track:
+        basis_index(*s, p.cutoff)  # a FockSpaceError names a state outside the cutoff
+    t_grid = np.asarray(t_grid, dtype=float)
+    out = {s: np.zeros(t_grid.size) for s in track}
+    for N, rho_N in manifold_blocks(initial.density(), p.cutoff):
+        tracked = [s for s in track if 2 * s[0] + s[1] == N]
+        if tracked:
+            vals, vecs = np.linalg.eigh(manifold_block(p.delta, p.xi, N)[0])
+            pops = block_populations(vals, vecs, rho_N, t_grid)
+            for s in tracked:
+                out[s] = pops[:, s[0]]
     return out

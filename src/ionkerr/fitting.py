@@ -14,9 +14,8 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.optimize import least_squares, minimize
 
-from . import states
 from .spectra import DriveParams, Spectrum, lineshape, lineshape_fwhm, model_curve
-from .states import PhononDistribution, StateSpec
+from .states import PhononDistribution, StateSpec, distribution
 from .trap import TWO_PI
 
 WEIGHT_FLOOR = 1e-4
@@ -173,19 +172,8 @@ _PARAM_SCALES = {"alpha": 10.0, "nbar": 10.0, "r": 1.5, "eta": 1.0, "g": 0.5}
 
 
 def _family_pops(family: str, values: dict, n_fixed: int | None, n_max: int) -> np.ndarray:
-    if family == "coherent":
-        return states.poisson_pops(values["alpha"] ** 2, n_max)
-    if family == "thermal":
-        return states.thermal_pops(values["nbar"], n_max)
-    if family == "squeezed_vacuum":
-        return states.squeezed_vacuum_pops(values["r"], n_max)
-    if family == "squeezed_thermal":
-        spec = StateSpec("squeezed_thermal", {"nbar": values["nbar"], "r": values["r"]})
-        return states.family_populations(spec, n_max).p
-    if family == "squeezed_fock":
-        spec = StateSpec("squeezed_fock", {"n": n_fixed, "r": values["r"]})
-        return states.family_populations(spec, n_max).p
-    raise FitError(f"unknown family {family!r}")
+    params = dict(values) if n_fixed is None else dict(values, n=n_fixed)
+    return distribution(StateSpec(family, params), n_max).p
 
 
 def fit_parametric(

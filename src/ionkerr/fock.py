@@ -1,8 +1,11 @@
-"""Truncated Fock-space linear algebra for two motional modes and an optional qubit.
+"""Truncated Fock space of two motional modes and an optional qubit: cutoffs,
+basis indexing, states, and the dense ladder operators.
 
 Basis ordering is fixed: qubit slowest (down=0, up=1), then the axial mode a,
-then the radial mode b fastest.  All operators are dense complex matrices;
-dimensions stay small enough (<~10^3) that sparsity buys nothing.
+then the radial mode b fastest.  The package evolves states on the exact
+conserved-charge blocks of ``dynamics``; the dense operators here only build
+``dynamics.build_hamiltonian`` and ``dynamics.conserved_charge``, the dense
+reference form of the coupling.
 """
 
 from __future__ import annotations
@@ -12,9 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 HERM_RTOL = 1e-12
-
-QUBIT_DOWN = "down"
-QUBIT_UP = "up"
 
 
 class FockSpaceError(ValueError):
@@ -52,23 +52,14 @@ class FockCutoff:
         return (2 if self.with_qubit else 1) * self.dim_a * self.dim_b
 
 
-def basis_index(n_a: int, n_b: int, cutoff: FockCutoff, qubit: str | None = None) -> int:
-    """Row-major linear index of |qubit, n_a, n_b> (qubit slowest, b fastest)."""
+def basis_index(n_a: int, n_b: int, cutoff: FockCutoff) -> int:
+    """Row-major linear index of |n_a, n_b> (b fastest); with a qubit factor,
+    the index of the qubit-down state, since the qubit is slowest."""
     if not 0 <= n_a <= cutoff.n_a_max:
         raise FockSpaceError(f"axial quantum number n_a={n_a} outside [0, {cutoff.n_a_max}]")
     if not 0 <= n_b <= cutoff.n_b_max:
         raise FockSpaceError(f"radial quantum number n_b={n_b} outside [0, {cutoff.n_b_max}]")
-    if cutoff.with_qubit:
-        if qubit is None:
-            qubit = QUBIT_DOWN
-        if qubit not in (QUBIT_DOWN, QUBIT_UP):
-            raise FockSpaceError(f"qubit label must be 'down' or 'up', got {qubit!r}")
-        q = 0 if qubit == QUBIT_DOWN else 1
-    else:
-        if qubit is not None:
-            raise FockSpaceError("qubit label given but cutoff has with_qubit=False")
-        q = 0
-    return (q * cutoff.dim_a + n_a) * cutoff.dim_b + n_b
+    return n_a * cutoff.dim_b + n_b
 
 
 def _ladder(dim: int) -> np.ndarray:
@@ -89,29 +80,9 @@ def annihilation_op(cutoff: FockCutoff, mode: str) -> np.ndarray:
     return op
 
 
-def creation_op(cutoff: FockCutoff, mode: str) -> np.ndarray:
-    return annihilation_op(cutoff, mode).conj().T
-
-
 def number_op(cutoff: FockCutoff, mode: str) -> np.ndarray:
     a = annihilation_op(cutoff, mode)
     return a.conj().T @ a
-
-
-def qubit_op(cutoff: FockCutoff, which: str) -> np.ndarray:
-    """Qubit operators embedded in the full space: 'sigma_plus', 'sigma_minus', 'up_proj'."""
-    if not cutoff.with_qubit:
-        raise FockSpaceError("cutoff has no qubit factor")
-    mats = {
-        "sigma_plus": np.array([[0, 0], [1, 0]], dtype=complex),   # |up><down|
-        "sigma_minus": np.array([[0, 1], [0, 0]], dtype=complex),  # |down><up|
-        "up_proj": np.array([[0, 0], [0, 1]], dtype=complex),
-    }
-    try:
-        m = mats[which]
-    except KeyError:
-        raise FockSpaceError(f"unknown qubit operator {which!r}") from None
-    return np.kron(m, np.eye(cutoff.dim_a * cutoff.dim_b))
 
 
 def basis_vector(index: int, dim: int) -> np.ndarray:
@@ -179,43 +150,3 @@ def assert_hermitian(M: np.ndarray, rtol: float = HERM_RTOL) -> None:
             f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "
             f"(threshold {rtol * scale:.3e})"
         )
-
-
-def eigh(H: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecomposition of a Hermitian matrix, eigenvalues ascending.
-
-    Delegates to LAPACK via numpy after verifying Hermiticity.
-    """
-    assert_hermitian(H)
-    vals, vecs = np.linalg.eigh(H)
-    return vals, vecs
-
-
-def evolve(state: FockState, H: np.ndarray, t: float) -> FockState:
-    """Unitary evolution exp(-iHt) applied to a pure or mixed state.
-
-    H carries angular-frequency units (rad/s); t is in seconds.
-    """
-    if t < 0:
-        raise FockSpaceError("evolution time must be >= 0")
-    if H.shape[0] != state.dim:
-        raise FockSpaceError(f"dimension mismatch: H is {H.shape[0]}, state is {state.dim}")
-    vals, vecs = eigh(H)
-    U = propagator_from_eigh(vals, vecs, t)
-    if state.is_pure:
-        return FockState(U @ state.data)
-    return FockState(U @ state.data @ U.conj().T)
-
-
-def propagator_from_eigh(vals: np.ndarray, vecs: np.ndarray, t: float) -> np.ndarray:
-    phase = np.exp(-1j * vals * t)
-    return (vecs * phase) @ vecs.conj().T
-
-
-def expectation(state: FockState, O: np.ndarray) -> complex:
-    """<psi|O|psi> for pure states, Tr(rho O) for mixed states."""
-    if O.shape[0] != state.dim:
-        raise FockSpaceError(f"dimension mismatch: O is {O.shape[0]}, state is {state.dim}")
-    if state.is_pure:
-        return complex(np.vdot(state.data, O @ state.data))
-    return complex(np.trace(state.data @ O))

@@ -13,7 +13,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import CoupledModeParams, dispersive_shift_table, dressed_energy, manifold_block
+from .dynamics import (
+    CoupledModeParams,
+    block_populations,
+    dispersive_shift_table,
+    dressed_energy,
+    manifold_block,
+    manifold_blocks,
+)
 from .fock import FockState
 from .states import PhononDistribution
 from .trap import TWO_PI
@@ -202,17 +209,9 @@ def driven_scan(
         raise SpectroscopyError(f"axis_reference must be 'dressed' or 'bare', got {axis_reference!r}")
 
     grid = np.asarray(grid, dtype=float)
-    rho = initial.density()
-    n_a, n_b = np.divmod(np.arange(motional_dim), cutoff.dim_b)
-    charge = 2 * n_a + n_b
     p_up = np.zeros(grid.size)
-    for M in range(int(charge.max()) + 1):
+    for M, rho_M in manifold_blocks(initial.density(), cutoff):
         # Block M: the down chain of manifold M, then the up chain of M + 2k, both by n_a.
-        idx = np.flatnonzero(charge == M)
-        rho_M = np.zeros((M // 2 + 1,) * 2, dtype=complex)
-        rho_M[np.ix_(n_a[idx], n_a[idx])] = rho[np.ix_(idx, idx)]
-        if not rho_M.any():
-            continue
         H_down, _ = manifold_block(params.delta, params.xi, M)
         H_up, _ = manifold_block(params.delta, params.xi, M + 2 * k)
         m = len(H_down)
@@ -225,9 +224,7 @@ def driven_scan(
         up = np.arange(m, m + len(H_up))
         H[:, up, up] -= (grid + ref)[:, None]
         vals, vecs = np.linalg.eigh(H)
-        phases = np.exp(-1j * vals * drive.t_pi)
-        U = (vecs[:, m:, :] * phases[:, None, :]) @ vecs[:, :m, :].transpose(0, 2, 1)
-        p_up += np.sum((U @ rho_M) * U.conj(), axis=(1, 2)).real
+        p_up += block_populations(vals, vecs, rho_M, drive.t_pi)[:, m:].sum(axis=1)
     return Spectrum(grid, np.clip(p_up, 0.0, 1.0))
 
 

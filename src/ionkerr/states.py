@@ -21,7 +21,7 @@ from .fock import FockCutoff, FockSpaceError, FockState
 
 TAIL_LIMIT = 1e-4
 WALK_TAIL_LIMIT = 1e-3
-THERMAL_SUM_TAIL = 1e-17  # thermal weight family_populations may leave out
+THERMAL_SUM_TAIL = 1e-17  # thermal weight distribution may leave out
 
 FAMILIES = ("fock", "coherent", "thermal", "squeezed_vacuum", "squeezed_thermal", "squeezed_fock")
 
@@ -42,9 +42,9 @@ class PhononDistribution:
 
     def __post_init__(self):
         self.p = np.asarray(self.p, dtype=float)
-        if np.any(self.p < -1e-12):
+        if (self.p < -1e-12).any():
             raise StatePrepError("negative probability in distribution")
-        self.p = np.clip(self.p, 0.0, None)
+        self.p = np.maximum(self.p, 0.0)  # np.clip(p, 0, None), cheaper on every fit residual
 
     @property
     def n_max(self) -> int:
@@ -232,39 +232,74 @@ def thermal_state(nbar: float, n_max: int) -> FockState:
 # --- preparation --------------------------------------------------------------
 
 
+def distribution(spec: StateSpec, n_max: int) -> PhononDistribution:
+    """Populations over n = 0..n_max of any state family, computed directly
+    (the model p_n(params) of the spectral fits).
+
+    This never fails on truncation: the weight above n_max is reported as
+    truncation_tail, never folded back (a Fock index above n_max gives tail 1).
+    squeezed_fock takes |<m|S|n>|^2 down column n; squeezed_thermal sums
+    p_th(n) |<m|S|n>|^2 over thermal columns until the thermal weight left out
+    is below THERMAL_SUM_TAIL.
+    """
+    par = spec.params
+    n = par.get("n", 0)
+    if n < 0:
+        raise StatePrepError(f"{spec.family} needs n >= 0, got {n}")
+    r_mag = abs(par.get("r", 0.0))
+    if spec.family == "fock":
+        p = np.zeros(n_max + 1)
+        if n <= n_max:
+            p[n] = 1.0
+    elif spec.family == "coherent":
+        p = poisson_pops(abs(par["alpha"]) ** 2, n_max)
+    elif spec.family == "thermal":
+        p = thermal_pops(par["nbar"], n_max)
+    elif spec.family == "squeezed_vacuum":
+        p = squeezed_vacuum_pops(r_mag, n_max)
+    elif spec.family == "squeezed_fock":
+        p = squeeze_elements(r_mag, n_max, n)[:, n] ** 2
+    else:  # squeezed_thermal
+        nbar = par["nbar"]
+        # columns 0..cols leave out the thermal weight (nbar / (1 + nbar))^(cols + 1)
+        cols = int(np.log(THERMAL_SUM_TAIL) / np.log(nbar / (1 + nbar))) if nbar > 0 else 0
+        # |<m|S|n>| = |<n|S|m>| (S(r)^T = S(-r)), so recur over the short side
+        p = thermal_pops(nbar, cols) @ squeeze_elements(r_mag, cols, n_max) ** 2
+    return PhononDistribution(p, truncation_tail=max(0.0, 1.0 - p.sum()))
+
+
 def prepare(spec: StateSpec, n_max: int) -> tuple[FockState, PhononDistribution]:
-    """Radial-mode FockState and its exact population vector for a state family."""
+    """Radial-mode FockState and its exact population vector for a state family.
+
+    Unlike ``distribution``, this raises when the state cannot be built within
+    n_max: a Fock index above it, or a coherent or squeezed tail too large.
+    """
     if spec.family == "fock":
         n = spec.params["n"]
         if not 0 <= n <= n_max:
             raise StatePrepError(f"fock({n}) outside cutoff n_max={n_max}")
         vec = np.zeros(n_max + 1, dtype=complex)
         vec[n] = 1.0
-        p = np.zeros(n_max + 1)
-        p[n] = 1.0
-        return FockState(vec), PhononDistribution(p)
+        return FockState(vec), distribution(spec, n_max)
 
     if spec.family == "coherent":
         alpha = spec.params["alpha"]
-        pops = poisson_pops(abs(alpha) ** 2, n_max)
-        tail = max(0.0, 1.0 - pops.sum())
-        if tail > TAIL_LIMIT:
-            raise StatePrepError(f"coherent-state tail {tail:.2e} exceeds {TAIL_LIMIT} at n_max={n_max}")
-        n = np.arange(n_max + 1)
-        amp = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(alpha) - gammaln(n + 1) / 2) if alpha != 0 else None
+        dist = distribution(spec, n_max)
+        if dist.truncation_tail > TAIL_LIMIT:
+            raise StatePrepError(
+                f"coherent-state tail {dist.truncation_tail:.2e} exceeds {TAIL_LIMIT} at n_max={n_max}"
+            )
         vec = np.zeros(n_max + 1, dtype=complex)
         if alpha == 0:
             vec[0] = 1.0
         else:
-            vec[:] = amp
+            n = np.arange(n_max + 1)
+            vec[:] = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(alpha) - gammaln(n + 1) / 2)
             vec /= np.linalg.norm(vec)
-        return FockState(vec), PhononDistribution(pops, truncation_tail=tail)
+        return FockState(vec), dist
 
     if spec.family == "thermal":
-        nbar = spec.params["nbar"]
-        pops = thermal_pops(nbar, n_max)
-        tail = max(0.0, 1.0 - pops.sum())
-        return thermal_state(nbar, n_max), PhononDistribution(pops, truncation_tail=tail)
+        return thermal_state(spec.params["nbar"], n_max), distribution(spec, n_max)
 
     if spec.family == "squeezed_vacuum":
         r = spec.params["r"]
@@ -297,45 +332,6 @@ def prepare(spec: StateSpec, n_max: int) -> tuple[FockState, PhononDistribution]
         return FockState(vec), PhononDistribution(pops, truncation_tail=tail)
 
     raise StatePrepError(f"unknown family {spec.family!r}")
-
-
-def distribution(spec: StateSpec, n_max: int) -> PhononDistribution:
-    """Population vector only (used as the model p_n(params) in spectral fits).
-
-    Unlike prepare(), this never fails on truncation: squeezed families come
-    from family_populations, and the weight above n_max is reported as
-    truncation_tail.
-    """
-    if spec.family in ("squeezed_vacuum", "squeezed_thermal", "squeezed_fock"):
-        return family_populations(spec, n_max)
-    return prepare(spec, n_max)[1]
-
-
-def family_populations(spec: StateSpec, n_max: int) -> PhononDistribution:
-    """Populations over 0..n_max from the exact squeeze matrix elements.
-
-    squeezed_fock takes |<m|S|n>|^2 down column n; squeezed_thermal sums
-    p_th(n) |<m|S|n>|^2 over thermal columns until the thermal weight left
-    out is below THERMAL_SUM_TAIL. The remainder above n_max is reported as
-    truncation_tail, never folded back and never raised on.
-    """
-    r_mag = abs(spec.params.get("r", 0.0))
-    if spec.family == "squeezed_vacuum":
-        p = squeezed_vacuum_pops(r_mag, n_max)
-    elif spec.family == "squeezed_fock":
-        n = spec.params["n"]
-        if n < 0:
-            raise StatePrepError(f"squeezed_fock needs n >= 0, got {n}")
-        p = squeeze_elements(r_mag, n_max, n)[:, n] ** 2
-    elif spec.family == "squeezed_thermal":
-        nbar = spec.params["nbar"]
-        # columns 0..cols leave out the thermal weight (nbar / (1 + nbar))^(cols + 1)
-        cols = int(np.log(THERMAL_SUM_TAIL) / np.log(nbar / (1 + nbar))) if nbar > 0 else 0
-        # |<m|S|n>| = |<n|S|m>| (S(r)^T = S(-r)), so recur over the short side
-        p = thermal_pops(nbar, cols) @ squeeze_elements(r_mag, cols, n_max) ** 2
-    else:
-        return distribution(spec, n_max)
-    return PhononDistribution(p, truncation_tail=max(0.0, 1.0 - p.sum()))
 
 
 def fock10_imperfect_preset(n_max: int = 12) -> PhononDistribution:

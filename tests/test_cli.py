@@ -5,6 +5,7 @@ import json
 import numpy as np
 import pytest
 
+from ionkerr import cli
 from ionkerr.cli import main
 from ionkerr.spectra import Spectrum
 
@@ -172,6 +173,39 @@ class TestScanAndFit:
         assert "--n-max 32" in capsys.readouterr().err
         assert run(*args, "--n-max", "31") == 2
         assert run(*args, "--n-max", "32") == 0
+
+    def test_coherent_truncation_names_n_max(self, tmp_path, capsys):
+        # coherent:3 leaves 0.12 above n_b = 12 and 1.8e-4 above 21
+        args = ("scan", "--out", str(tmp_path), "--state", "coherent:3", "--points", "3")
+        assert run(*args) == 2
+        assert "--n-max 22" in capsys.readouterr().err
+        assert run(*args, "--n-max", "21") == 2
+        assert run(*args, "--n-max", "22") == 0
+
+    def test_squeezed_truncation_names_the_smallest_n_max(self, tmp_path, capsys):
+        args = ("scan", "--out", str(tmp_path), "--state", "squeezed_vacuum:1.2", "--points", "3")
+        assert run(*args) == 2
+        assert "--n-max 42" in capsys.readouterr().err
+        assert run(*args, "--n-max", "41") == 2
+        assert run(*args, "--n-max", "42") == 0
+
+    def test_driven_squeezed_truncation_names_n_max(self, tmp_path, capsys):
+        # the driven cutoff is --n-max + DRIVEN_N_B_PAD, so n_b = 42 needs --n-max 36
+        args = ("scan", "--out", str(tmp_path), "--driven", "--state", "squeezed_vacuum:1.2", "--points", "3")
+        assert run(*args) == 2
+        assert f"--n-max {42 - cli.DRIVEN_N_B_PAD}" in capsys.readouterr().err
+        assert run(*args, "--n-max", str(41 - cli.DRIVEN_N_B_PAD)) == 2
+        assert run(*args, "--n-max", str(42 - cli.DRIVEN_N_B_PAD)) == 0
+
+    def test_tail_check_builds_no_state(self, tmp_path, capsys, monkeypatch):
+        # thermal:100 needs --n-max 925; the check and the search read populations
+        # only, so no (m + 1)^2 density matrix is built on the way there
+        def refuse(spec, n_max):
+            raise AssertionError(f"prepare({spec}, {n_max}) called")
+
+        monkeypatch.setattr(cli, "prepare", refuse)
+        assert run("scan", "--out", str(tmp_path), "--state", "thermal:100", "--points", "3") == 2
+        assert "--n-max 925" in capsys.readouterr().err
 
     def test_scan_json_rows_match_csv(self, tmp_path):
         for fmt in ("csv", "json"):

@@ -8,6 +8,7 @@ from ionkerr.dynamics import (
     AssignmentError,
     CoupledModeParams,
     DynamicsError,
+    block_populations,
     build_hamiltonian,
     conserved_charge,
     crossing_map,
@@ -15,10 +16,12 @@ from ionkerr.dynamics import (
     dressed_energy,
     exchange_trace,
     manifold_block,
+    manifold_blocks,
     manifold_states,
     sideband_offset,
 )
-from ionkerr.fock import FockCutoff, FockState, basis_index, basis_vector
+from ionkerr.fock import FockCutoff, FockSpaceError, FockState, basis_index, basis_vector
+from ionkerr.states import StateSpec, embed_radial, prepare
 from ionkerr.trap import TWO_PI, detune_to, mode_frequencies, paper_trap
 
 CUT = FockCutoff(4, 10)
@@ -278,3 +281,172 @@ class TestExchange:
         pure = exchange_trace(p, FockState(vec), t)
         mixed = exchange_trace(p, FockState(rho), t)
         assert np.allclose(pure[(1, 0)], mixed[(1, 0)], atol=1e-12)
+
+    def test_tracked_state_outside_cutoff_rejected(self):
+        p = CoupledModeParams(delta=0.0, xi=1.0, cutoff=FockCutoff(6, 20))
+        vec = basis_vector(basis_index(1, 0, p.cutoff), p.cutoff.dim)
+        with pytest.raises(FockSpaceError, match="n_a=7"):
+            exchange_trace(p, FockState(vec), np.zeros(1), track=[(7, 0)])
+
+
+def _on_cutoff(state, small, big):
+    """The density matrix of a state on cutoff ``small`` embedded in ``big``."""
+    idx = [basis_index(n_a, n_b, big) for n_a in range(small.dim_a) for n_b in range(small.dim_b)]
+    rho = np.zeros((big.dim, big.dim), dtype=complex)
+    rho[np.ix_(idx, idx)] = state.density()
+    return rho
+
+
+def dense_exchange_trace(p, initial, t_grid, track, big):
+    """Reference trace: the dense Kronecker Hamiltonian at cutoff ``big``,
+    diagonalised once. It equals the exact trace when ``big`` holds every
+    manifold that ``initial`` touches."""
+    q = CoupledModeParams(delta=p.delta, xi=p.xi, cutoff=big)
+    vals, vecs = np.linalg.eigh(build_hamiltonian(q))
+    rho0 = _on_cutoff(initial, p.cutoff, big)
+    idx = [basis_index(*s, big) for s in track]
+    out = np.empty((len(track), len(t_grid)))
+    for k, t in enumerate(t_grid):
+        U = (vecs * np.exp(-1j * vals * t)) @ vecs.conj().T
+        out[:, k] = np.real(np.diag(U @ rho0 @ U.conj().T))[idx]
+    return out
+
+
+class TestExchangeOracle:
+    """exchange_trace against the dense trace at a cutoff that holds every
+    manifold the state touches whole: n_a_max >= N_max // 2, n_b_max >= N_max."""
+
+    CUT = FockCutoff(3, 6)  # the states below touch N <= 6
+    TRACK = [(1, 0), (0, 2), (0, 1), (1, 1), (0, 3), (3, 0), (2, 2), (0, 6)]
+
+    def _initial(self, name):
+        c = self.CUT
+        if name == "fock_1a0b":
+            return FockState(basis_vector(basis_index(1, 0, c), c.dim))
+        if name == "thermal_embedded":
+            rho = embed_radial(prepare(StateSpec("thermal", {"nbar": 0.3}), c.n_b_max)[0], c).data
+            return FockState(rho / np.trace(rho).real)
+        amps = {(1, 0): 1.0, (0, 1): 0.7, (0, 2): 0.5j, (1, 1): 0.3 - 0.2j, (2, 2): 0.2}
+        vec = np.zeros(c.dim, dtype=complex)
+        for s, amp in amps.items():
+            vec[basis_index(*s, c)] = amp
+        vec /= np.linalg.norm(vec)
+        if name == "pure_cross_n":  # coherences between N = 1, 2, 3 and 6
+            return FockState(vec)
+        other = basis_vector(basis_index(0, 3, c), c.dim) + basis_vector(basis_index(3, 0, c), c.dim)
+        other /= np.linalg.norm(other)
+        return FockState(0.6 * np.outer(vec, vec.conj()) + 0.4 * np.outer(other, other.conj()))
+
+    @pytest.mark.parametrize("delta_hz", [0.0, 200.0, 14.3e3])
+    @pytest.mark.parametrize("name", ["fock_1a0b", "thermal_embedded", "pure_cross_n", "mixed_cross_n"])
+    def test_matches_dense(self, cfg, name, delta_hz):
+        delta = TWO_PI * delta_hz
+        xi = mode_frequencies(detune_to(cfg, delta)).xi
+        p = CoupledModeParams(delta=delta, xi=xi, cutoff=self.CUT)
+        initial = self._initial(name)
+        t = np.linspace(0.0, 2e-3, 41)
+        traces = exchange_trace(p, initial, t, track=self.TRACK)
+        dense = dense_exchange_trace(p, initial, t, self.TRACK, self.CUT)
+        assert np.max(np.abs(np.array([traces[s] for s in self.TRACK]) - dense)) < 1e-12
+
+    @pytest.mark.parametrize("delta_hz", [0.0, 14.3e3])
+    def test_whole_manifold_beyond_the_axial_cutoff(self, cfg, delta_hz):
+        # |0_a, 20_b> lies in N = 20, whose states reach n_a = 10; the cutoff
+        # (6, 20) only sizes the state. A dense trace at (6, 20) is off by 0.92
+        # on this grid at delta = 0.
+        delta = TWO_PI * delta_hz
+        xi = mode_frequencies(detune_to(cfg, delta)).xi
+        p = CoupledModeParams(delta=delta, xi=xi, cutoff=FockCutoff(6, 20))
+        initial = FockState(basis_vector(basis_index(0, 20, p.cutoff), p.cutoff.dim))
+        t = np.linspace(0.0, 2e-3, 41)
+        track = [(0, 20), (1, 18), (6, 8)]
+        traces = exchange_trace(p, initial, t, track=track)
+        dense = dense_exchange_trace(p, initial, t, track, FockCutoff(10, 20))
+        assert np.max(np.abs(np.array([traces[s] for s in track]) - dense)) < 1e-12
+
+
+class TestManifoldBlocks:
+    def test_blocks_hold_the_charge_diagonal_part(self, rng):
+        c = FockCutoff(2, 5)
+        M = rng.normal(size=(c.dim, c.dim)) + 1j * rng.normal(size=(c.dim, c.dim))
+        rho = M @ M.conj().T
+        charge = np.real(np.diag(conserved_charge(c))).astype(int)
+        seen = set()
+        for N, rho_N in manifold_blocks(rho, c):
+            seen.add(N)
+            states = manifold_states(N)
+            assert rho_N.shape == (len(states), len(states))
+            for i, si in enumerate(states):
+                for j, sj in enumerate(states):
+                    inside = all(s[0] <= c.n_a_max and s[1] <= c.n_b_max for s in (si, sj))
+                    want = rho[basis_index(*si, c), basis_index(*sj, c)] if inside else 0.0
+                    assert rho_N[i, j] == want
+        assert seen == set(charge)
+
+    def test_zero_blocks_skipped(self):
+        c = FockCutoff(2, 5)
+        rho = np.zeros((c.dim, c.dim), dtype=complex)
+        rho[basis_index(1, 1, c), basis_index(1, 1, c)] = 1.0
+        assert [N for N, _ in manifold_blocks(rho, c)] == [3]
+
+    def test_dimension_mismatch(self):
+        with pytest.raises(FockSpaceError, match="dim"):
+            list(manifold_blocks(np.eye(5, dtype=complex), FockCutoff(2, 5)))
+
+
+class TestBlockPopulations:
+    def test_zero_time_is_identity(self, rng):
+        H = rng.normal(size=(5, 5))
+        vals, vecs = np.linalg.eigh(H + H.T)
+        A = rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3))
+        rho = A @ A.conj().T / np.trace(A @ A.conj().T).real
+        pops = block_populations(vals, vecs, rho, 0.0)
+        assert np.allclose(pops, np.r_[np.real(np.diag(rho)), 0.0, 0.0], atol=1e-14)
+
+    def test_rabi_flop(self):
+        # H = Omega sigma_x / 2 flips |0> -> |1> at t = pi / Omega
+        Omega = 3.0
+        vals, vecs = np.linalg.eigh(0.5 * Omega * np.array([[0.0, 1.0], [1.0, 0.0]]))
+        pops = block_populations(vals, vecs, np.array([[1.0 + 0j]]), np.pi / Omega)
+        assert pops == pytest.approx([0.0, 1.0], abs=1e-12)
+
+    @pytest.mark.parametrize("support", [4, 2])
+    def test_matches_dense_propagator_and_broadcasts(self, rng, support):
+        # a batch of blocks at one time, and one block along a time grid; with
+        # support 2 the state leaves the last two of its four basis states empty
+        H = rng.normal(size=(4, 6, 6))
+        vals, vecs = np.linalg.eigh(H + H.swapaxes(-1, -2))
+        A = np.zeros((4, 4), dtype=complex)
+        A[:support, :support] = rng.normal(size=(support, support)) + 1j * rng.normal(size=(support, support))
+        rho = A @ A.conj().T / np.trace(A @ A.conj().T).real
+        full = np.zeros((6, 6), dtype=complex)
+        full[:4, :4] = rho
+        t = np.array([0.0, 0.3, 1.7])
+        batch = block_populations(vals, vecs, rho, 0.3)
+        times = block_populations(vals[1], vecs[1], rho, t)
+        assert batch.shape == (4, 6) and times.shape == (3, 6)
+        for b in range(4):
+            U = (vecs[b] * np.exp(-1j * vals[b] * 0.3)) @ vecs[b].T
+            assert np.allclose(batch[b], np.real(np.diag(U @ full @ U.conj().T)), atol=1e-13)
+        for k, tk in enumerate(t):
+            U = (vecs[1] * np.exp(-1j * vals[1] * tk)) @ vecs[1].T
+            assert np.allclose(times[k], np.real(np.diag(U @ full @ U.conj().T)), atol=1e-13)
+
+    def test_trace_preserved_over_many_times(self, rng):
+        H = rng.normal(size=(12, 12))
+        vals, vecs = np.linalg.eigh(H + H.T)
+        psi = rng.normal(size=12) + 1j * rng.normal(size=12)
+        psi /= np.linalg.norm(psi)
+        pops = block_populations(vals, vecs, np.outer(psi, psi.conj()), np.linspace(0.0, 1e3, 2001))
+        assert np.max(np.abs(pops.sum(axis=1) - 1.0)) < 1e-12
+        assert pops.min() > -1e-15
+
+    def test_mixed_state_is_the_mixture_of_pure_ones(self, rng):
+        H = rng.normal(size=(5, 5))
+        vals, vecs = np.linalg.eigh(H + H.T)
+        psis = rng.normal(size=(2, 5)) + 1j * rng.normal(size=(2, 5))
+        psis /= np.linalg.norm(psis, axis=1, keepdims=True)
+        pure = [block_populations(vals, vecs, np.outer(v, v.conj()), 0.4) for v in psis]
+        rho = 0.3 * np.outer(psis[0], psis[0].conj()) + 0.7 * np.outer(psis[1], psis[1].conj())
+        mixed = block_populations(vals, vecs, rho, 0.4)
+        assert np.allclose(mixed, 0.3 * pure[0] + 0.7 * pure[1], atol=1e-14)

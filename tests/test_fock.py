@@ -1,4 +1,4 @@
-"""Truncated Fock-space operators, indexing, and unitary evolution."""
+"""Truncated Fock-space cutoffs, indexing, dense operators, and states."""
 
 import numpy as np
 import pytest
@@ -11,13 +11,7 @@ from ionkerr.fock import (
     assert_hermitian,
     basis_index,
     basis_vector,
-    creation_op,
-    eigh,
-    evolve,
-    expectation,
     number_op,
-    propagator_from_eigh,
-    qubit_op,
 )
 
 
@@ -37,8 +31,8 @@ class TestCutoff:
 class TestBasisIndex:
     def test_origin(self):
         c = FockCutoff(2, 5, with_qubit=True)
-        assert basis_index(0, 0, c, qubit="down") == 0
-        assert basis_index(0, 1, c) == 1  # qubit defaults to down
+        assert basis_index(0, 0, c) == 0
+        assert basis_index(0, 1, c) == 1  # the qubit-down index
 
     def test_b_fastest(self):
         c = FockCutoff(2, 5)
@@ -46,17 +40,14 @@ class TestBasisIndex:
         assert basis_index(1, 3, c) == 9
 
     def test_qubit_slowest(self):
+        # the qubit-down half comes first and repeats the motional ordering
         c = FockCutoff(2, 5, with_qubit=True)
-        assert basis_index(0, 0, c, qubit="up") == c.dim_a * c.dim_b
+        assert c.dim == 2 * c.dim_a * c.dim_b
+        assert basis_index(1, 3, c) == basis_index(1, 3, FockCutoff(2, 5))
 
     def test_bijective_over_full_space(self):
-        c = FockCutoff(3, 7, with_qubit=True)
-        seen = {
-            basis_index(na, nb, c, qubit=q)
-            for q in ("down", "up")
-            for na in range(c.dim_a)
-            for nb in range(c.dim_b)
-        }
+        c = FockCutoff(3, 7)
+        seen = {basis_index(na, nb, c) for na in range(c.dim_a) for nb in range(c.dim_b)}
         assert seen == set(range(c.dim))
 
     def test_out_of_range_names_quantum_number(self):
@@ -65,8 +56,6 @@ class TestBasisIndex:
             basis_index(3, 0, c)
         with pytest.raises(FockSpaceError, match="n_b=6"):
             basis_index(0, 6, c)
-        with pytest.raises(FockSpaceError, match="with_qubit=False"):
-            basis_index(0, 0, c, qubit="down")
 
 
 class TestOperators:
@@ -103,48 +92,24 @@ class TestOperators:
         b = annihilation_op(c, "b")
         assert np.max(np.abs(a @ b - b @ a)) == 0
 
-    def test_creation_is_adjoint(self):
-        c = FockCutoff(2, 4)
-        assert np.array_equal(creation_op(c, "a"), annihilation_op(c, "a").conj().T)
-
     def test_unknown_mode_rejected(self):
         with pytest.raises(FockSpaceError, match="mode"):
             annihilation_op(FockCutoff(2, 4), "c")
 
     def test_qubit_ops(self):
+        # with a qubit factor the mode operators act as the identity on the qubit
         c = FockCutoff(1, 2, with_qubit=True)
-        sp = qubit_op(c, "sigma_plus")
-        down = basis_vector(basis_index(0, 0, c, qubit="down"), c.dim)
-        up = basis_vector(basis_index(0, 0, c, qubit="up"), c.dim)
-        assert np.allclose(sp @ down, up)
-        assert np.vdot(up, qubit_op(c, "up_proj") @ up) == pytest.approx(1.0)
-        with pytest.raises(FockSpaceError):
-            qubit_op(FockCutoff(1, 2), "sigma_plus")
-        with pytest.raises(FockSpaceError, match="sigma_x"):
-            qubit_op(c, "sigma_x")
+        for mode in ("a", "b"):
+            motional = annihilation_op(FockCutoff(1, 2), mode)
+            assert np.array_equal(annihilation_op(c, mode), np.kron(np.eye(2), motional))
 
 
 class TestEigh:
-    def test_diagonal(self):
-        vals, vecs = eigh(np.diag([3.0, 1.0, 2.0]).astype(complex))
-        assert np.allclose(vals, [1.0, 2.0, 3.0])
-
-    def test_two_level(self):
-        H = np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex)
-        vals, _ = eigh(H)
-        assert np.allclose(vals, [-1.0, 1.0])
-
-    def test_reconstruction_random(self, rng):
-        for dim in (8, 64, 256):
-            M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            H = M + M.conj().T
-            vals, vecs = eigh(H)
-            assert np.all(np.diff(vals) >= 0)
-            assert np.allclose((vecs * vals) @ vecs.conj().T, H, atol=1e-10 * np.abs(H).max())
+    """Hermiticity checks on dense matrices."""
 
     def test_non_hermitian_rejected(self):
         with pytest.raises(FockSpaceError, match="Hermitian"):
-            eigh(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
+            assert_hermitian(np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex))
 
     def test_assert_hermitian_tolerance(self):
         H = np.eye(3, dtype=complex)
@@ -153,67 +118,6 @@ class TestEigh:
         H2[0, 1] = 1e-6
         with pytest.raises(FockSpaceError):
             assert_hermitian(H2)
-
-
-class TestEvolve:
-    def test_zero_time_is_identity(self, rng):
-        psi = rng.normal(size=5) + 1j * rng.normal(size=5)
-        psi /= np.linalg.norm(psi)
-        H = np.diag(np.arange(5.0)).astype(complex)
-        out = evolve(FockState(psi), H, 0.0)
-        assert np.allclose(out.data, psi)
-
-    def test_eigenstate_picks_up_phase_only(self):
-        H = np.diag([0.0, 2.0]).astype(complex)
-        out = evolve(FockState(np.array([0, 1], dtype=complex)), H, 0.25)
-        assert out.data[1] == pytest.approx(np.exp(-1j * 0.5))
-
-    def test_rabi_flop(self):
-        # H = Omega sigma_x / 2 flips |0> -> |1> at t = pi / Omega
-        Omega = 3.0
-        H = 0.5 * Omega * np.array([[0, 1], [1, 0]], dtype=complex)
-        out = evolve(FockState(np.array([1, 0], dtype=complex)), H, np.pi / Omega)
-        assert abs(out.data[1]) == pytest.approx(1.0, abs=1e-12)
-
-    def test_norm_drift_over_many_steps(self, rng):
-        dim = 12
-        M = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-        H = M + M.conj().T
-        vals, vecs = eigh(H)
-        U = propagator_from_eigh(vals, vecs, 1e-3)
-        psi = rng.normal(size=dim) + 1j * rng.normal(size=dim)
-        psi /= np.linalg.norm(psi)
-        for _ in range(10_000):
-            psi = U @ psi
-        assert abs(np.linalg.norm(psi) - 1.0) < 1e-9
-
-    def test_composition(self, rng):
-        dim = 6
-        M = rng.normal(size=(dim, dim))
-        H = (M + M.T).astype(complex)
-        psi = rng.normal(size=dim).astype(complex)
-        psi /= np.linalg.norm(psi)
-        one = evolve(evolve(FockState(psi), H, 0.3), H, 0.7)
-        both = evolve(FockState(psi), H, 1.0)
-        assert np.allclose(one.data, both.data, atol=1e-12)
-
-    def test_mixed_state_evolution_matches_pure(self, rng):
-        dim = 5
-        M = rng.normal(size=(dim, dim))
-        H = (M + M.T).astype(complex)
-        psi = rng.normal(size=dim).astype(complex)
-        psi /= np.linalg.norm(psi)
-        rho = evolve(FockState(np.outer(psi, psi.conj())), H, 0.4)
-        pure = evolve(FockState(psi), H, 0.4)
-        assert np.allclose(rho.data, np.outer(pure.data, pure.data.conj()), atol=1e-12)
-
-    def test_negative_time_rejected(self):
-        with pytest.raises(FockSpaceError):
-            evolve(FockState(np.array([1.0, 0.0], dtype=complex)), np.eye(2, dtype=complex), -1.0)
-
-    def test_dimension_mismatch(self):
-        with pytest.raises(FockSpaceError, match="mismatch"):
-            evolve(FockState(np.array([1.0, 0.0], dtype=complex)), np.eye(3, dtype=complex), 1.0)
 
 
 class TestStateAndExpectation:
@@ -231,17 +135,3 @@ class TestStateAndExpectation:
     def test_populations(self):
         psi = np.array([np.sqrt(0.25), np.sqrt(0.75)], dtype=complex)
         assert np.allclose(FockState(psi).populations(), [0.25, 0.75])
-
-    def test_expectation_number(self):
-        c = FockCutoff(1, 4)
-        v = basis_vector(basis_index(0, 3, c), c.dim)
-        assert expectation(FockState(v), number_op(c, "b")) == pytest.approx(3.0)
-
-    def test_expectation_thermal_mean(self):
-        # diagonal mixture: <n> is the weighted mean
-        p = np.array([0.5, 0.3, 0.2])
-        rho = np.zeros((10, 10), dtype=complex)
-        rho[:3, :3] = np.diag(p)
-        c = FockCutoff(1, 4)
-        n_full = np.diag(np.arange(10.0)).astype(complex)
-        assert expectation(FockState(rho), n_full).real == pytest.approx(p @ np.arange(3))

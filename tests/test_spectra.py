@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from ionkerr.dynamics import CoupledModeParams, dressed_energy
-from ionkerr.fock import FockCutoff, FockState, annihilation_op, basis_index, number_op, qubit_op
+from ionkerr.fock import FockCutoff, FockState, annihilation_op, basis_index, number_op
 from ionkerr.spectra import (
     DriveParams,
     SpectroscopyError,
@@ -35,7 +35,8 @@ def dense_driven_scan(initial, params, drive, grid, axis_reference="dressed"):
     coupling = coupling + coupling.conj().T
     k = drive.order
     a_k = np.linalg.matrix_power(a, k)
-    drive_term = 0.5 * drive.drive_rabi * (qubit_op(cutoff, "sigma_plus") @ a_k.conj().T)
+    sigma_plus = np.kron([[0.0, 0.0], [1.0, 0.0]], np.eye(motional_dim))  # |up><down|, qubit slowest
+    drive_term = 0.5 * drive.drive_rabi * (sigma_plus @ a_k.conj().T)
     drive_term = drive_term + drive_term.conj().T
     up_slice = slice(motional_dim, 2 * motional_dim)
     ref = 0.0

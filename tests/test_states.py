@@ -12,7 +12,6 @@ from ionkerr.states import (
     StateSpec,
     distribution,
     embed_radial,
-    family_populations,
     fock10_imperfect_preset,
     format_state_spec,
     parse_state_spec,
@@ -50,7 +49,7 @@ def converged_squeeze(r: complex, rows: int, cols: int) -> np.ndarray:
 
 
 def dense_family_populations(spec: StateSpec, n_max: int) -> np.ndarray:
-    """The populations family_populations gave before the recurrence: the dense
+    """The squeezed-family populations before the exact recurrence: the dense
     squeeze at the work cutoff max(40, (n_max + 5) e^(2r) + 10), guard
     max(10, 4 sinh^2 r), and the thermal weights up to the work cutoff."""
     r = abs(spec.params["r"])
@@ -260,7 +259,28 @@ class TestDistribution:
 
     def test_matches_family_populations(self):
         spec = StateSpec("squeezed_fock", {"n": 1, "r": 0.5})
-        assert np.allclose(distribution(spec, 10).p, family_populations(spec, 10).p)
+        assert np.allclose(distribution(spec, 10).p, dense_family_populations(spec, 10))
+
+    def test_coherent_tail_reported_not_raised(self):
+        # prepare() raises here; distribution() reports the Poisson weight above n_max
+        dist = distribution(StateSpec("coherent", {"alpha": 3.0}), 10)
+        assert np.array_equal(dist.p, poisson_pops(9.0, 10))
+        assert dist.truncation_tail == pytest.approx(1.0 - poisson_pops(9.0, 10).sum(), abs=1e-15)
+        assert dist.truncation_tail > 0.2
+
+    def test_fock_above_cutoff_is_all_tail(self):
+        dist = distribution(StateSpec("fock", {"n": 12}), 10)
+        assert not dist.p.any() and dist.truncation_tail == 1.0
+
+    @pytest.mark.parametrize(
+        "text", ["fock:3", "coherent:1.2", "thermal:0.7", "squeezed_vacuum:0.5",
+                 "squeezed_thermal:nbar=0.4,r=0.3", "squeezed_fock:n=2,r=0.3"],
+    )
+    def test_matches_prepare_where_the_state_fits(self, text):
+        spec = parse_state_spec(text)
+        dist, prepared = distribution(spec, 40), prepare(spec, 40)[1]
+        assert np.max(np.abs(dist.p - prepared.p)) < 1e-12
+        assert dist.truncation_tail == pytest.approx(prepared.truncation_tail, abs=1e-12)
 
     def test_strong_squeezing_at_small_cutoff_does_not_raise(self):
         dist = distribution(StateSpec("squeezed_fock", {"n": 1, "r": 1.5}), 10)
@@ -276,7 +296,7 @@ class TestFamilyPopulationsOracle:
     @pytest.mark.parametrize("nbar", [0.0, 0.3, 0.8, 2.0])
     def test_squeezed_thermal(self, nbar, r):
         spec = StateSpec("squeezed_thermal", {"nbar": nbar, "r": r})
-        dist = family_populations(spec, 10)
+        dist = distribution(spec, 10)
         assert np.max(np.abs(dist.p - dense_family_populations(spec, 10))) < 1e-12
         assert dist.p.sum() + dist.truncation_tail == pytest.approx(1.0, abs=1e-12)
 
@@ -284,7 +304,7 @@ class TestFamilyPopulationsOracle:
     @pytest.mark.parametrize("n", [0, 1, 2, 5])
     def test_squeezed_fock(self, n, r):
         spec = StateSpec("squeezed_fock", {"n": n, "r": r})
-        dist = family_populations(spec, 10)
+        dist = distribution(spec, 10)
         assert np.max(np.abs(dist.p - dense_family_populations(spec, 10))) < 1e-12
         assert dist.p.sum() + dist.truncation_tail == pytest.approx(1.0, abs=1e-12)
 
@@ -294,12 +314,12 @@ class TestFamilyPopulationsOracle:
         # operator, whose thermal weight beyond is (10/11)^401 < 1e-16, settles it.
         spec = StateSpec("squeezed_thermal", {"nbar": 10.0, "r": 0.5})
         converged = (np.abs(converged_squeeze(0.5, 400, 400)) ** 2 @ thermal_pops(10.0, 400))[:11]
-        assert np.max(np.abs(family_populations(spec, 10).p - converged)) < 1e-13
+        assert np.max(np.abs(distribution(spec, 10).p - converged)) < 1e-13
         assert np.max(np.abs(dense_family_populations(spec, 10) - converged)) > 1e-10
 
     def test_negative_fock_index_rejected(self):
         with pytest.raises(StatePrepError, match="n >= 0"):
-            family_populations(StateSpec("squeezed_fock", {"n": -1, "r": 0.5}), 10)
+            distribution(StateSpec("squeezed_fock", {"n": -1, "r": 0.5}), 10)
 
 
 class TestFockPreset:
