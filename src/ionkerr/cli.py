@@ -11,7 +11,6 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
-import itertools
 import json
 import sys
 from datetime import datetime, timezone
@@ -42,6 +41,7 @@ from .states import (
     parse_state_spec,
     prepare,
     random_walk_thermal,
+    smallest_cutoff,
 )
 from .trap import TWO_PI, TrapModelError, detune_to, load_config, mode_frequencies, paper_trap
 
@@ -183,8 +183,7 @@ def _parse_state(args, n_max: int):
     tail = distribution(spec, n_max).truncation_tail
     if tail > TAIL_LIMIT:
         pad = n_max - args.n_max
-        need = next(m for m in itertools.count(args.n_max + 1)
-                    if distribution(spec, m + pad).truncation_tail <= TAIL_LIMIT)
+        need = smallest_cutoff(lambda m: distribution(spec, m + pad).truncation_tail, args.n_max)
         raise CliError(
             f"{args.state} has {tail:.2e} of its population above "
             f"n_b = {n_max}, more than {TAIL_LIMIT}; use --n-max {need}"
@@ -340,7 +339,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--state", default="fock:0", help="e.g. thermal:1.5, coherent:1.2+0i, fock10_imperfect")
     p.add_argument("--delta-hz", type=float, default=14.3e3)
     p.add_argument("--t-pi-ms", type=float, default=8.0)
-    p.add_argument("--order", type=int, default=1, choices=(1, 2))
+    p.add_argument("--order", type=int, default=1, choices=(1, 2), help="sideband order; 2 needs --driven")
     p.add_argument("--eta", type=float, default=0.7)
     p.add_argument("--g", type=float, default=0.02)
     p.add_argument("--shots", type=int, default=0, help="0 = noiseless")

@@ -1,9 +1,13 @@
 """Least-squares reconstruction of phonon distributions from sideband spectra.
 
-The model is the multi-peak curve p(w) = g + eta sum_n p_n f(w - w_n) with peak
-centers w_n supplied from theory or a calibration pass (never free per-peak
-parameters).  Parametric fits vary the family parameters of p_n; the free fit
-varies the p_n themselves under simplex constraints.
+The model is the multi-peak curve p(w) = g + eta B p, with the response basis
+B[i, n] = f(w_i - w_n) built once per fit from peak centers w_n supplied from
+theory or a calibration pass (never free per-peak parameters).  Parametric
+fits vary the family parameters of p_n with an analytic Jacobian; the free
+fit varies the p_n themselves under simplex constraints, as one exact
+linear least-squares problem with inequalities (LSI), reduced to least
+distance programming (LDP) and solved by one NNLS (Lawson & Hanson,
+*Solving Least Squares Problems*, 1974, ch. 23).
 """
 
 from __future__ import annotations
@@ -12,10 +16,10 @@ import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import least_squares, minimize
+from scipy.optimize import least_squares, nnls
 
-from .spectra import DriveParams, Spectrum, lineshape, lineshape_fwhm, model_curve
-from .states import PhononDistribution, StateSpec, distribution
+from .spectra import DriveParams, Spectrum, lineshape, lineshape_fwhm, response_basis
+from .states import PhononDistribution, StateSpec, distribution, distribution_gradient
 from .trap import TWO_PI
 
 WEIGHT_FLOOR = 1e-4
@@ -85,16 +89,18 @@ def _sigma_from_jacobian(
     A fit is flagged degenerate either when the Jacobian is numerically rank
     deficient or when some parameter's 1-sigma exceeds its physically
     identifiable range (``param_scales``): the data then carry no information
-    about that direction.
+    about that direction.  A parameter with weight along a singular direction
+    gets an infinite 1-sigma.
     """
     U, s, Vt = np.linalg.svd(J, full_matrices=False)
-    degenerate = bool(s[-1] < SINGULAR_TOL * s[0])
-    s_safe = np.where(s < SINGULAR_TOL * s[0], np.inf, s)
-    cov = (Vt.T / s_safe**2) @ Vt
+    singular = s < SINGULAR_TOL * s[0]
+    degenerate = bool(singular.any())
+    var = Vt[~singular].T ** 2 @ s[~singular] ** -2.0
     if not known_noise:
         dof = max(len(resid) - n_params, 1)
-        cov = cov * (resid @ resid) / dof
-    sigma = np.sqrt(np.maximum(np.diag(cov), 0.0))
+        var = var * (resid @ resid) / dof
+    var[(np.abs(Vt[singular]) > SINGULAR_TOL).any(axis=0)] = np.inf
+    sigma = np.sqrt(var)
     if param_scales is not None and np.any(sigma > np.asarray(param_scales)):
         degenerate = True
     direction = Vt[-1] if degenerate else None
@@ -171,11 +177,6 @@ _FAMILY_START = {"alpha": 1.0, "nbar": 1.0, "r": 0.5}
 _PARAM_SCALES = {"alpha": 10.0, "nbar": 10.0, "r": 1.5, "eta": 1.0, "g": 0.5}
 
 
-def _family_pops(family: str, values: dict, n_fixed: int | None, n_max: int) -> np.ndarray:
-    params = dict(values) if n_fixed is None else dict(values, n=n_fixed)
-    return distribution(StateSpec(family, params), n_max).p
-
-
 def fit_parametric(
     spec: Spectrum,
     family: str,
@@ -190,8 +191,9 @@ def fit_parametric(
     The population model p_n(params) comes from the closed-form state families;
     bounds are 0 <= eta <= 1, 0 <= g <= 0.5, family parameters in their
     validity domain; a family parameter missing from ``params0`` starts at
-    ``_FAMILY_START``.  1-sigma uncertainties come from the Jacobian at the
-    optimum (damped-least-squares trust region via scipy).
+    ``_FAMILY_START``.  The trust-region solver (scipy) gets the analytic
+    Jacobian [eta B dp/dtheta, B p, 1] of the model g + eta B p, and the
+    1-sigma uncertainties come from it at the optimum.
     """
     if family not in _FAMILY_PARAMS:
         raise FitError(
@@ -203,6 +205,7 @@ def fit_parametric(
         raise FitError("family 'squeezed_fock' needs its fixed Fock index n (e.g. n=1)")
     known_centers = np.asarray(known_centers, dtype=float)
     n_max = len(known_centers) - 1
+    B = response_basis(spec.detuning, known_centers, drive)
     sig = point_sigmas(spec)
 
     x0 = [float(params0.get(k, _FAMILY_START[k])) for k in names] + [eta0, g0]
@@ -210,47 +213,48 @@ def fit_parametric(
     hi = [_FAMILY_BOUNDS[k][1] for k in names] + [1.0, 0.5]
 
     def unpack(theta):
-        vals = dict(zip(names, theta[: len(names)]))
-        return vals, theta[-2], theta[-1]
+        values = dict(zip(names, theta[: len(names)]))
+        if n_fixed is not None:
+            values["n"] = n_fixed
+        return StateSpec(family, values), theta[-2], theta[-1]
 
-    def make_resid(sig_vec):
+    def curve(theta):
+        state, eta, g = unpack(theta)
+        return g + eta * (B @ distribution(state, n_max).p)
+
+    def solve(start, sig_vec):
         def resid(theta):
-            vals, eta, g = unpack(theta)
-            p = _family_pops(family, vals, n_fixed, n_max)
-            curve = model_curve(spec.detuning, p, known_centers, drive, eta, g)
-            return (curve - spec.p_up) / sig_vec
+            return (curve(theta) - spec.p_up) / sig_vec
 
-        return resid
+        def jac(theta):
+            state, eta, g = unpack(theta)
+            grad = distribution_gradient(state, n_max)
+            dp = np.stack([grad[k] for k in names], axis=1)
+            J = np.column_stack([eta * (B @ dp), B @ distribution(state, n_max).p, np.ones(len(B))])
+            return J / sig_vec[:, None]
 
-    res = least_squares(
-        make_resid(sig), x0=x0, bounds=(lo, hi), xtol=1e-12, ftol=1e-14, gtol=1e-12,
-        max_nfev=MAX_ITER * 8,
-    )
+        return least_squares(
+            resid, x0=start, jac=jac, bounds=(lo, hi), xtol=1e-12, ftol=1e-14, gtol=1e-12,
+            max_nfev=MAX_ITER * 8,
+        )
+
+    res = solve(x0, sig)
     if spec.shots_per_point is not None:
         # One reweighting pass: binomial variances from the fitted curve rather
         # than the raw data, which calibrates the 1-sigma intervals.
-        vals, eta_1, g_1 = unpack(res.x)
-        curve = model_curve(
-            spec.detuning, _family_pops(family, vals, n_fixed, n_max), known_centers, drive, eta_1, g_1
-        )
-        sig = np.sqrt(np.maximum(curve * (1 - curve) / spec.shots_per_point, WEIGHT_FLOOR))
-        res = least_squares(
-            make_resid(sig), x0=res.x, bounds=(lo, hi), xtol=1e-12, ftol=1e-14, gtol=1e-12,
-            max_nfev=MAX_ITER * 8,
-        )
-    vals, eta_hat, g_hat = unpack(res.x)
+        fitted = curve(res.x)
+        sig = np.sqrt(np.maximum(fitted * (1 - fitted) / spec.shots_per_point, WEIGHT_FLOOR))
+        res = solve(res.x, sig)
+    state, eta_hat, g_hat = unpack(res.x)
     param_names = names + ["eta", "g"]
     sigma, degenerate, direction = _sigma_from_jacobian(
         res.jac, res.fun, len(res.x), known_noise=spec.shots_per_point is not None,
         param_scales=np.array([_PARAM_SCALES[k] for k in param_names]),
     )
-    p_hat = _family_pops(family, vals, n_fixed, n_max)
-    out_params = dict(vals)
-    if n_fixed is not None:
-        out_params["n"] = n_fixed
+    p_hat = distribution(state, n_max).p
     return FitResult(
         family=family,
-        params=out_params,
+        params=dict(state.params),
         p_hat=PhononDistribution(p_hat, truncation_tail=max(0.0, 1 - p_hat.sum())),
         eta_hat=float(eta_hat),
         g_hat=float(g_hat),
@@ -266,21 +270,67 @@ def fit_parametric(
     )
 
 
+def _lsi(E: np.ndarray, f: np.ndarray, G: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """argmin ||E x - f|| subject to G x >= h (Lawson & Hanson, 1974, ch. 23).
+
+    With E = U S V^T, y = V^T x splits into y1, along the singular values
+    above SINGULAR_TOL s_max, and y2, along the numerically null rest.  Then
+    z = S1 y1 - U1^T f and w = (z, y2) turn the problem into the least
+    distance program min ||w|| subject to G [V1 S1^-1, V2] w >= h - G V1 S1^-1 U1^T f,
+    whose solution is the normalised residual of one NNLS.  Along the null
+    directions, which the data do not see, this picks the shortest solution.
+    """
+    U, sv, Vt = np.linalg.svd(E, full_matrices=False)
+    seen = sv >= SINGULAR_TOL * sv[0]
+    f1 = U[:, seen].T @ f
+    # x = K w + x0, with K = [V1 S1^-1, V2] and x0 = V1 S1^-1 f1
+    K = np.hstack([Vt[seen].T / sv[seen], Vt[~seen].T])
+    x0 = Vt[seen].T @ (f1 / sv[seen])
+    A = np.vstack([(G @ K).T, h - G @ x0])
+    b = np.zeros(len(A))
+    b[-1] = 1.0
+    try:
+        u, _ = nnls(A, b, maxiter=MAX_ITER)
+    except RuntimeError as exc:
+        raise FitError(f"free fit: {exc}") from exc
+    r = A @ u - b
+    return x0 - K @ (r[:-1] / r[-1])
+
+
+def _onto_simplex(p: np.ndarray) -> np.ndarray:
+    """p >= 0 with sum(p) <= 1 exactly in float: scale by 1/sum(p), then step
+    every entry down one ulp at a time until the sum holds."""
+    p = np.maximum(p, 0.0)
+    total = p.sum()
+    if total > 1:
+        p = p / total
+        while p.sum() > 1:
+            p = np.nextafter(p, 0.0)
+    return p
+
+
 def fit_free_distribution(
     spec: Spectrum,
     known_centers: np.ndarray,
     drive: DriveParams,
     n_max: int,
     eta: float | None = 0.7,
-    g0: float = 0.02,
 ) -> FitResult:
     """Constrained least squares over the populations {p_n} themselves.
 
-    eta given -> held fixed; eta=None -> fitted.  g is always free.  Each p_n is
-    bounded to [0, 1] and sum(p) <= 1 (remainder attributed to n > n_max); the
-    simplex constraint is enforced by SLSQP.  No smoothing regularizer is
-    applied: peaks are resolved by design.
+    eta given -> held fixed; eta=None -> fitted.  g is always free in
+    [0, 0.5].  The constraints are p_n >= 0 and sum(p) <= 1 (the remainder is
+    attributed to n > n_max), and they hold exactly in float.  With eta fixed
+    the model g + eta B p is linear, so each pass is one exact LSI solve
+    (LSI -> LDP -> NNLS); ``iterations`` counts the passes (a second one
+    reweights with binomial variances from the fitted curve).  With eta free
+    the data fix only q = eta p: the fit solves for q >= 0 with
+    sum(q) + g <= 1 and reports eta as its lower bound sum(q), so p = q / eta
+    sums to 1.  No smoothing regularizer is applied: peaks are resolved by
+    design.
     """
+    if eta is not None and not 0 <= eta <= 1:
+        raise FitError(f"need 0 <= eta <= 1, got eta={eta}")
     known_centers = np.asarray(known_centers, dtype=float)[: n_max + 1]
     if len(known_centers) != n_max + 1:
         raise FitError(f"need {n_max + 1} known centers, got {len(known_centers)}")
@@ -292,85 +342,45 @@ def fit_free_distribution(
             f"adjacent peak spacing {spacing.min() / TWO_PI:.1f} Hz below the lineshape "
             f"FWHM {fwhm / TWO_PI:.1f} Hz; populations may be unresolvable"
         )
-    sig = point_sigmas(spec)
+    B = response_basis(spec.detuning, known_centers, drive)
     fit_eta = eta is None
+    k = n_max + 1
 
-    # Precompute the peak basis: column n is f(w - w_n).
-    basis = np.stack([lineshape(spec.detuning - c, drive) for c in known_centers], axis=1)
+    # Unknowns x = (p or q, g) under G x >= h: x_n >= 0, sum + g (eta free) <= 1, 0 <= g <= 0.5.
+    G = np.zeros((k + 3, k + 1))
+    G[:k, :k] = np.eye(k)
+    G[k, :k] = -1.0
+    G[k, k] = -1.0 if fit_eta else 0.0
+    G[k + 1, k] = 1.0
+    G[k + 2, k] = -1.0
+    h = np.zeros(k + 3)
+    h[k], h[k + 2] = -1.0, -0.5
+    E = np.column_stack([B if fit_eta else eta * B, np.ones(len(B))])
 
-    def split(theta):
-        p = theta[: n_max + 1]
-        g = theta[n_max + 1]
-        e = theta[n_max + 2] if fit_eta else eta
-        return p, g, e
+    def solve(sig):
+        x = _lsi(E / sig[:, None], spec.p_up / sig, G, h)
+        g = float(np.clip(x[k], 0.0, 0.5))
+        if not fit_eta:
+            return _onto_simplex(x[:k]), g, eta
+        q = np.maximum(x[:k], 0.0)
+        e = min(float(q.sum()), 1.0)
+        return _onto_simplex(q / e if e > 0 else q), g, e
 
-    def curve(theta):
-        p, g, e = split(theta)
-        return g + e * basis @ p
-
-    def objective(theta):
-        r = (curve(theta) - spec.p_up) / sig
-        return float(r @ r)
-
-    def gradient(theta):
-        p, g, e = split(theta)
-        r = (curve(theta) - spec.p_up) / sig
-        wr = r / sig
-        grad = np.empty_like(theta)
-        grad[: n_max + 1] = 2 * e * basis.T @ wr
-        grad[n_max + 1] = 2 * wr.sum()
-        if fit_eta:
-            grad[n_max + 2] = 2 * (basis @ p) @ wr
-        return grad
-
-    x0 = np.concatenate([np.full(n_max + 1, 1.0 / (n_max + 2)), [g0]])
-    bounds = [(0.0, 1.0)] * (n_max + 1) + [(0.0, 0.5)]
-    if fit_eta:
-        x0 = np.concatenate([x0, [0.7]])
-        bounds.append((0.0, 1.0))
-    constraints = [{"type": "ineq", "fun": lambda th: 1.0 - th[: n_max + 1].sum()}]
-    if fit_eta:
-        constraints.append({"type": "ineq", "fun": lambda th: 1.0 - th[n_max + 1] - th[n_max + 2]})
-
-    opts = {"maxiter": MAX_ITER, "ftol": 1e-10}
-
-    def solve(start):
-        res = minimize(
-            objective, start, jac=gradient, bounds=bounds, constraints=constraints,
-            method="SLSQP", options=opts,
-        )
-        converged = bool(res.success)
-        iterations = int(res.nit)
-        if not converged:
-            # SLSQP sometimes stops with a line-search failure at the optimum;
-            # accept if a restart from the endpoint cannot improve the objective.
-            res2 = minimize(
-                objective, res.x, jac=gradient, bounds=bounds, constraints=constraints,
-                method="SLSQP", options=opts,
-            )
-            iterations += int(res2.nit)
-            if res2.fun <= res.fun + 1e-9 * max(abs(res.fun), 1.0):
-                res = res2 if res2.fun < res.fun else res
-                converged = True
-        return res, converged, iterations
-
-    res, converged, iterations = solve(x0)
+    sig = point_sigmas(spec)
+    p_hat, g_hat, eta_hat = solve(sig)
+    iterations = 1
     if spec.shots_per_point is not None:
-        # Reweighting pass with binomial variances from the fitted curve.
-        fitted = np.clip(curve(res.x), 0.0, 1.0)
+        fitted = g_hat + eta_hat * (B @ p_hat)
         sig = np.sqrt(np.maximum(fitted * (1 - fitted) / spec.shots_per_point, WEIGHT_FLOOR))
-        res, converged, it2 = solve(res.x)
-        iterations += it2
-    p_hat, g_hat, eta_hat = split(res.x)
+        p_hat, g_hat, eta_hat = solve(sig)
+        iterations += 1
 
     # Gauss-Newton Jacobian at the solution for the per-parameter uncertainties.
-    cols = [eta_hat * basis[:, n] / sig for n in range(n_max + 1)] + [1.0 / sig]
-    if fit_eta:
-        cols.append(basis @ p_hat / sig)
-    J = np.stack(cols, axis=1)
-    resid = (curve(res.x) - spec.p_up) / sig
-    names = [f"p_{n}" for n in range(n_max + 1)] + ["g"] + (["eta"] if fit_eta else [])
-    scales = np.array([1.0] * (n_max + 1) + [0.5] + ([1.0] if fit_eta else []))
+    cols = [eta_hat * B, np.ones((len(B), 1))] + ([B @ p_hat[:, None]] if fit_eta else [])
+    J = np.hstack(cols) / sig[:, None]
+    resid = (g_hat + eta_hat * (B @ p_hat) - spec.p_up) / sig
+    names = [f"p_{n}" for n in range(k)] + ["g"] + (["eta"] if fit_eta else [])
+    scales = np.array([1.0] * k + [0.5] + ([1.0] if fit_eta else []))
     sigma, degenerate, direction = _sigma_from_jacobian(
         J, resid, J.shape[1], known_noise=spec.shots_per_point is not None,
         param_scales=scales,
@@ -380,10 +390,10 @@ def fit_free_distribution(
         params={},
         p_hat=PhononDistribution(p_hat, truncation_tail=max(0.0, 1 - p_hat.sum())),
         eta_hat=float(eta_hat),
-        g_hat=float(g_hat),
+        g_hat=g_hat,
         residual_rms=float(np.sqrt(np.mean((resid * sig) ** 2))),
         param_sigma=dict(zip(names, map(float, sigma))),
-        converged=converged,
+        converged=True,
         iterations=iterations,
         residuals=resid * sig,
         degenerate=degenerate,

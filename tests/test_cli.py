@@ -8,6 +8,7 @@ import pytest
 from ionkerr import cli
 from ionkerr.cli import main
 from ionkerr.spectra import Spectrum
+from ionkerr.states import distribution
 
 GOOD_CONFIG = "[trap]\nomega_x_hz = 1042e3\nomega_y_hz = 979e3\nomega_z_hz = 587e3\n"
 
@@ -207,6 +208,41 @@ class TestScanAndFit:
         assert run("scan", "--out", str(tmp_path), "--state", "thermal:100", "--points", "3") == 2
         assert "--n-max 925" in capsys.readouterr().err
 
+    def test_n_max_search_is_logarithmic(self, tmp_path, capsys, monkeypatch):
+        # the tail only falls with the cutoff, so doubling then bisecting finds
+        # the smallest --n-max in about 2 log2(92108 / 13) population calls
+        calls = []
+
+        def counted(spec, n_max):
+            calls.append(n_max)
+            return distribution(spec, n_max)
+
+        monkeypatch.setattr(cli, "distribution", counted)
+        assert run("scan", "--out", str(tmp_path), "--state", "thermal:10000", "--points", "3") == 2
+        assert "use --n-max 92108" in capsys.readouterr().err
+        assert len(calls) <= 40
+
+    def test_non_finite_state_rejected(self, tmp_path, capsys):
+        assert run("scan", "--out", str(tmp_path), "--state", "coherent:nan", "--points", "3") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
+        assert not (tmp_path / "scan.csv").exists()
+
+    def test_fit_eta_outside_unit_interval_rejected(self, tmp_path, capsys):
+        assert run("scan", "--out", str(tmp_path), "--points", "41") == 0
+        args = ("fit", "--out", str(tmp_path), "--input", str(tmp_path / "scan.csv"))
+        assert run(*args, "--eta", "1.5") == 2
+        assert "eta" in capsys.readouterr().err
+        assert run(*args, "--eta", "1.0") == 0
+
+    def test_effective_second_order_refused(self, tmp_path, capsys):
+        # the effective model knows the first sideband only; it used to ignore --order
+        args = ("scan", "--out", str(tmp_path), "--state", "thermal:1.5", "--n-max", "18")
+        assert run(*args, "--order", "2") == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("\n") == 1
+        assert not (tmp_path / "scan.csv").exists()
+
     def test_scan_json_rows_match_csv(self, tmp_path):
         for fmt in ("csv", "json"):
             args = ("scan", "--out", str(tmp_path), "--shots", "400", "--points", "9")
@@ -224,6 +260,7 @@ class TestScanAndFit:
                 str(tmp_path),
                 "--order",
                 "2",
+                "--driven",
                 "--state",
                 "fock:0",
                 "--points",

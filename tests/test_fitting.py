@@ -3,28 +3,163 @@
 import numpy as np
 import pytest
 
+from scipy.optimize import least_squares, minimize
+
 from ionkerr.fitting import (
+    _FAMILY_BOUNDS,
+    _FAMILY_PARAMS,
+    _FAMILY_START,
+    _PARAM_SCALES,
+    MAX_ITER,
+    WEIGHT_FLOOR,
     FitError,
+    _onto_simplex,
+    _sigma_from_jacobian,
     fit_free_distribution,
     fit_parametric,
     fit_peak_center,
     point_sigmas,
 )
-from ionkerr.spectra import Spectrum, add_shot_noise, lineshape, model_spectrum
+from ionkerr.spectra import (
+    DriveParams,
+    SpectroscopyError,
+    Spectrum,
+    add_shot_noise,
+    lineshape,
+    model_spectrum,
+    peak_positions,
+    response_basis,
+)
 from ionkerr.states import (
     PhononDistribution,
     StatePrepError,
     StateSpec,
     distribution,
     fock10_imperfect_preset,
+    parse_state_spec,
 )
 from ionkerr.trap import TWO_PI
+
+
+def clipped_curve(grid, p, centers, drive, eta, g):
+    """The multi-peak curve as the earlier fits modelled it: a loop over the
+    peaks, clipped to [0, 1]."""
+    out = np.full(grid.shape, float(g))
+    for p_n, w_n in zip(p, centers):
+        if p_n != 0.0:
+            out += eta * p_n * lineshape(grid - w_n, drive)
+    return np.clip(out, 0.0, 1.0)
+
+
+def slsqp_free_fit(spec, centers, drive, n_max, eta=0.7, g0=0.02):
+    """Reference free fit: SLSQP over (p, g[, eta]) with the simplex constraint
+    held to its tolerance, one restart after a line-search stop, and one
+    reweighting pass.  Returns (p, g, eta)."""
+    centers = np.asarray(centers, dtype=float)[: n_max + 1]
+    sig = point_sigmas(spec)
+    fit_eta = eta is None
+    basis = np.stack([lineshape(spec.detuning - c, drive) for c in centers], axis=1)
+
+    def split(th):
+        return th[: n_max + 1], th[n_max + 1], (th[n_max + 2] if fit_eta else eta)
+
+    def curve(th):
+        p, g, e = split(th)
+        return g + e * basis @ p
+
+    def objective(th):
+        r = (curve(th) - spec.p_up) / sig
+        return float(r @ r)
+
+    def gradient(th):
+        p, g, e = split(th)
+        wr = (curve(th) - spec.p_up) / sig**2
+        grad = np.empty_like(th)
+        grad[: n_max + 1] = 2 * e * basis.T @ wr
+        grad[n_max + 1] = 2 * wr.sum()
+        if fit_eta:
+            grad[n_max + 2] = 2 * (basis @ p) @ wr
+        return grad
+
+    x0 = np.concatenate([np.full(n_max + 1, 1.0 / (n_max + 2)), [g0]])
+    bounds = [(0.0, 1.0)] * (n_max + 1) + [(0.0, 0.5)]
+    constraints = [{"type": "ineq", "fun": lambda th: 1.0 - th[: n_max + 1].sum()}]
+    if fit_eta:
+        x0 = np.append(x0, 0.7)
+        bounds.append((0.0, 1.0))
+        constraints.append({"type": "ineq", "fun": lambda th: 1.0 - th[n_max + 1] - th[n_max + 2]})
+    opts = {"maxiter": MAX_ITER, "ftol": 1e-10}
+
+    def solve(start):
+        kw = dict(jac=gradient, bounds=bounds, constraints=constraints, method="SLSQP", options=opts)
+        res = minimize(objective, start, **kw)
+        if not res.success:
+            res2 = minimize(objective, res.x, **kw)
+            if res2.fun < res.fun:
+                res = res2
+        return res
+
+    res = solve(x0)
+    if spec.shots_per_point is not None:
+        fitted = np.clip(curve(res.x), 0.0, 1.0)
+        sig = np.sqrt(np.maximum(fitted * (1 - fitted) / spec.shots_per_point, WEIGHT_FLOOR))
+        res = solve(res.x)
+    return split(res.x)
+
+
+def fd_parametric_fit(spec, family, params0, centers, drive, eta0=0.7, g0=0.02):
+    """Reference parametric fit: least_squares with finite-difference Jacobians
+    on the clipped curve, one reweighting pass.  Returns (estimates, sigmas)."""
+    names = _FAMILY_PARAMS[family]
+    n_fixed = params0.get("n")
+    n_max = len(centers) - 1
+    x0 = [float(params0.get(k, _FAMILY_START[k])) for k in names] + [eta0, g0]
+    lo = [_FAMILY_BOUNDS[k][0] for k in names] + [0.0, 0.0]
+    hi = [_FAMILY_BOUNDS[k][1] for k in names] + [1.0, 0.5]
+
+    def curve(theta):
+        values = dict(zip(names, theta[: len(names)]))
+        if n_fixed is not None:
+            values["n"] = n_fixed
+        p = distribution(StateSpec(family, values), n_max).p
+        return clipped_curve(spec.detuning, p, centers, drive, theta[-2], theta[-1])
+
+    def solve(start, sig):
+        return least_squares(
+            lambda th: (curve(th) - spec.p_up) / sig, x0=start, bounds=(lo, hi),
+            xtol=1e-12, ftol=1e-14, gtol=1e-12, max_nfev=MAX_ITER * 8,
+        )
+
+    res = solve(x0, point_sigmas(spec))
+    fitted = curve(res.x)
+    res = solve(res.x, np.sqrt(np.maximum(fitted * (1 - fitted) / spec.shots_per_point, WEIGHT_FLOOR)))
+    param_names = names + ["eta", "g"]
+    sigma, _, _ = _sigma_from_jacobian(
+        res.jac, res.fun, len(res.x), known_noise=True,
+        param_scales=np.array([_PARAM_SCALES[k] for k in param_names]),
+    )
+    return dict(zip(param_names, res.x)), dict(zip(param_names, sigma))
 
 
 @pytest.fixture(scope="module")
 def thermal_spectrum(params_143, drive, grid):
     dist = distribution(StateSpec("thermal", {"nbar": 1.5}), 10)
     return model_spectrum(dist, params_143, drive, grid, eta=0.7, g=0.02)
+
+
+class TestForwardModel:
+    @pytest.mark.parametrize(
+        "text", ["fock:0", "thermal:1.5", "coherent:1.2", "squeezed_thermal:nbar=0.8,r=0.4"]
+    )
+    def test_model_spectrum_matches_peak_loop(self, text, params_143, drive, grid, centers_10):
+        dist = distribution(parse_state_spec(text), 10)
+        sp = model_spectrum(dist, params_143, drive, grid, eta=0.7, g=0.02)
+        want = clipped_curve(grid, dist.p, centers_10, drive, 0.7, 0.02)
+        assert np.max(np.abs(sp.p_up - want)) < 1e-15
+
+    def test_effective_model_is_first_order(self, grid, centers_10):
+        with pytest.raises(SpectroscopyError, match="first sideband"):
+            response_basis(grid, centers_10, DriveParams(t_pi=8e-3, order=2))
 
 
 class TestPointSigmas:
@@ -107,6 +242,23 @@ class TestParametric:
         assert res.eta_hat == pytest.approx(0.7, abs=1e-4)
         assert res.g_hat == pytest.approx(0.02, abs=1e-4)
 
+    @pytest.mark.parametrize("shots, seed", [(100, 1), (400, 2)])
+    @pytest.mark.parametrize("family", sorted(TRUTHS))
+    def test_matches_finite_difference_oracle(
+        self, family, shots, seed, params_143, drive, grid, centers_10
+    ):
+        truth = self.TRUTHS[family]
+        dist = distribution(StateSpec(family, truth), 10)
+        clean = model_spectrum(dist, params_143, drive, grid, eta=0.7, g=0.02)
+        sp = add_shot_noise(clean, shots, seed)
+        start = {k: (v * 1.3 if k != "n" else v) for k, v in truth.items()}
+        res = fit_parametric(sp, family, start, centers_10, drive)
+        want, want_sigma = fd_parametric_fit(sp, family, start, centers_10, drive)
+        got = dict(res.params, eta=res.eta_hat, g=res.g_hat)
+        for k, v in want.items():
+            assert got[k] == pytest.approx(v, rel=1e-6)
+            assert res.param_sigma[k] == pytest.approx(want_sigma[k], rel=1e-6)
+
     def test_unknown_family_rejected(self, thermal_spectrum, drive, centers_10):
         with pytest.raises(FitError, match="family"):
             fit_parametric(thermal_spectrum, "gaussian", {}, centers_10, drive)
@@ -185,6 +337,57 @@ class TestFreeDistribution:
         res = fit_free_distribution(sp, centers_10, drive, 10, eta=0.7)
         assert np.all(res.p_hat.p >= 0) and np.all(res.p_hat.p <= 1)
         assert res.p_hat.p.sum() <= 1 + 1e-9
+
+    def test_fock10_sweep_matches_slsqp(self, params_143, drive, grid, centers_10):
+        # the exact solve holds sum(p) <= 1 in float, which SLSQP held only to
+        # its tolerance, and finds the same populations
+        clean = model_spectrum(fock10_imperfect_preset(10), params_143, drive, grid, eta=0.7, g=0.02)
+        worst = 0.0
+        for seed in range(300):
+            sp = add_shot_noise(clean, 100, seed)
+            p = fit_free_distribution(sp, centers_10, drive, 10, eta=0.7).p_hat.p
+            assert np.all(p >= 0) and p.sum() <= 1.0, seed
+            worst = max(worst, np.max(np.abs(p - slsqp_free_fit(sp, centers_10, drive, 10)[0])))
+        assert worst < 1e-5
+
+    def test_free_eta_is_unidentifiable(self, params_143, drive, grid, centers_10):
+        # the data fix only q = eta p: eta is reported as its bound sum(q), and
+        # its 1-sigma is infinite
+        truth = distribution(StateSpec("thermal", {"nbar": 1.0}), 10)
+        sp = add_shot_noise(model_spectrum(truth, params_143, drive, grid, eta=0.6, g=0.02), 400, 5)
+        res = fit_free_distribution(sp, centers_10, drive, 10, eta=None)
+        assert res.degenerate
+        assert res.param_sigma["eta"] == np.inf
+        assert res.p_hat.p.sum() <= 1.0
+        p, _, eta = slsqp_free_fit(sp, centers_10, drive, 10, eta=None)
+        assert np.max(np.abs(res.eta_hat * res.p_hat.p - eta * p)) < 1e-5
+
+    def test_simplex_guard_holds_in_float(self):
+        # p / sum(p) sums to 1 + 2.2e-16 here; the guard steps it down
+        p = np.array([0.04546790658470145, 0.11666322392035021, 0.1567019038374162,
+                      0.02105578652054861, 0.14358147955511777, 0.009872993936913717,
+                      0.06322035745461753, 0.07135654988870169, 0.08116501256737578,
+                      0.16212468057888482, 0.1287901061553724])
+        assert (p / p.sum()).sum() > 1
+        guarded = _onto_simplex(p)
+        assert guarded.sum() <= 1 and np.all(guarded >= 0)
+        assert np.max(np.abs(guarded - p / p.sum())) < 1e-15
+
+    def test_populations_beyond_the_window(self, params_143, drive, grid):
+        # peaks n >= 19 lie beyond the scan: the design matrix is rank deficient,
+        # and the solve must still reach SLSQP's fit instead of amplifying noise
+        centers = peak_positions(params_143, 40)
+        vacuum = distribution(StateSpec("fock", {"n": 0}), 12)
+        sp = add_shot_noise(model_spectrum(vacuum, params_143, drive, grid, eta=0.7, g=0.02), 400, 1)
+        res = fit_free_distribution(sp, centers, drive, 40, eta=0.7)
+        p, g, _ = slsqp_free_fit(sp, centers, drive, 40)
+        want = np.sqrt(np.mean((g + 0.7 * response_basis(grid, centers, drive) @ p - sp.p_up) ** 2))
+        assert res.residual_rms == pytest.approx(want, rel=1e-4)
+        assert res.p_hat.p.sum() <= 1 and res.param_sigma["p_40"] == np.inf
+
+    def test_eta_outside_unit_interval_rejected(self, thermal_spectrum, drive, centers_10):
+        with pytest.raises(FitError, match="eta"):
+            fit_free_distribution(thermal_spectrum, centers_10, drive, 10, eta=1.5)
 
     def test_center_count_checked(self, thermal_spectrum, drive, centers_10):
         with pytest.raises(FitError, match="centers"):

@@ -85,3 +85,34 @@ def test_detects_dense_operator_calls():
     assert len(_dense_operator_calls(tree, "dynamics.py")) == 3
     assert len(_dense_operator_calls(tree, "spectra.py")) == 5
     assert len(_dense_operator_calls(tree, "fock.py")) == 1
+
+
+def _solver_and_curve_uses(tree: ast.AST) -> list[str]:
+    """Calls of minimize (the free fit is one exact NNLS solve, the parametric
+    fit least_squares) and definitions of model_curve (every spectrum is
+    g + eta B p from the one response basis)."""
+    found = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and _called(node) == "minimize":
+            found.append(f"minimize() at line {node.lineno}")
+        elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) and node.name == "model_curve":
+            found.append(f"def model_curve at line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_general_minimizer_or_second_curve(path):
+    assert _solver_and_curve_uses(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_detects_minimizer_and_curve():
+    source = "\n".join(
+        [
+            "from scipy.optimize import minimize",
+            "def model_curve(grid, p):",
+            "    return minimize(f, x0)",
+            "res = scipy.optimize.minimize(f, x0, method='SLSQP')",
+            "least_squares(f, x0)",
+        ]
+    )
+    assert len(_solver_and_curve_uses(ast.parse(source))) == 3

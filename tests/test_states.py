@@ -11,6 +11,7 @@ from ionkerr.states import (
     StatePrepError,
     StateSpec,
     distribution,
+    distribution_gradient,
     embed_radial,
     fock10_imperfect_preset,
     format_state_spec,
@@ -104,6 +105,11 @@ class TestSpecParsing:
         spec = parse_state_spec("squeezed_fock:n=2,r=0.3")
         assert spec.params == {"n": 2, "r": pytest.approx(0.3)}
 
+    @pytest.mark.parametrize("text", ["coherent:nan", "thermal:inf", "squeezed_thermal:nbar=0.5,r=nan"])
+    def test_non_finite_parameters_rejected(self, text):
+        with pytest.raises(StatePrepError, match="finite"):
+            parse_state_spec(text)
+
     def test_round_trip(self):
         for text in ["fock:3", "thermal:1.5", "squeezed_thermal:nbar=0.8,r=0.4"]:
             spec = parse_state_spec(text)
@@ -160,6 +166,11 @@ class TestOperatorConstructions:
     def test_squeeze_too_strong(self):
         with pytest.raises(StatePrepError):
             squeeze_op(2.0, 10)
+
+    def test_squeeze_tail_names_the_smallest_cutoff(self):
+        # squeezed_vacuum_pops(1.2, m) leaves more than 1e-4 above m <= 41; doubling named 48
+        with pytest.raises(StatePrepError, match="use n_max >= 42"):
+            squeeze_op(1.2, 12)
 
     def test_squeeze_op_exact_at_the_edge(self):
         # a guard of 10 states left column 30 of S(0.7) wrong by 0.35
@@ -320,6 +331,33 @@ class TestFamilyPopulationsOracle:
     def test_negative_fock_index_rejected(self):
         with pytest.raises(StatePrepError, match="n >= 0"):
             distribution(StateSpec("squeezed_fock", {"n": -1, "r": 0.5}), 10)
+
+
+GRADIENT_CASES = [
+    ("coherent", {"alpha": 0.5}),
+    ("coherent", {"alpha": 1.2}),
+    ("thermal", {"nbar": 0.3}),
+    ("thermal", {"nbar": 1.5}),
+    ("squeezed_vacuum", {"r": 0.2}),
+    ("squeezed_vacuum", {"r": 1.2}),
+    ("squeezed_thermal", {"nbar": 0.8, "r": 0.4}),
+    ("squeezed_thermal", {"nbar": 2.0, "r": 0.9}),
+    ("squeezed_fock", {"n": 1, "r": 0.5}),
+    ("squeezed_fock", {"n": 3, "r": 1.2}),
+]
+
+
+class TestDistributionGradient:
+    @pytest.mark.parametrize("family, params", GRADIENT_CASES, ids=lambda v: str(v))
+    def test_matches_central_difference(self, family, params):
+        grad = distribution_gradient(StateSpec(family, params), 10)
+        assert set(grad) == set(params) - {"n"}
+        for name, got in grad.items():
+            h = 1e-5
+            up = distribution(StateSpec(family, dict(params, **{name: params[name] + h})), 10).p
+            down = distribution(StateSpec(family, dict(params, **{name: params[name] - h})), 10).p
+            want = (up - down) / (2 * h)
+            assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want)), name
 
 
 class TestFockPreset:
