@@ -3,11 +3,11 @@
 The model is the multi-peak curve p(w) = g + eta B p, with the response basis
 B[i, n] = f(w_i - w_n) built once per fit from peak centers w_n supplied from
 theory or a calibration pass (never free per-peak parameters).  Parametric
-fits vary the family parameters of p_n with an analytic Jacobian; the free
-fit varies the p_n themselves under simplex constraints, as one exact
-linear least-squares problem with inequalities (LSI), reduced to least
-distance programming (LDP) and solved by one NNLS (Lawson & Hanson,
-*Solving Least Squares Problems*, 1974, ch. 23).
+fits vary the family parameters of p_n; the free fit varies the p_n
+themselves under simplex constraints, as one exact linear least-squares
+problem with inequalities (LSI), reduced to least distance programming (LDP)
+and solved by one NNLS (Lawson & Hanson, *Solving Least Squares Problems*,
+1974, ch. 23).
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ import numpy as np
 from scipy.optimize import least_squares, nnls
 
 from .spectra import DriveParams, Spectrum, lineshape, lineshape_fwhm, response_basis
-from .states import PhononDistribution, StateSpec, distribution, distribution_gradient
+from .states import PhononDistribution, StateSpec, distribution
 from .trap import TWO_PI
 
 WEIGHT_FLOOR = 1e-4
@@ -55,7 +55,8 @@ class FitResult:
             "eta_hat": self.eta_hat,
             "g_hat": self.g_hat,
             "residual_rms": self.residual_rms,
-            "param_sigma": self.param_sigma,
+            # JSON has no infinity: an unbounded 1-sigma is written as null
+            "param_sigma": {k: v if np.isfinite(v) else None for k, v in self.param_sigma.items()},
             "converged": self.converged,
             "iterations": self.iterations,
             "degenerate": self.degenerate,
@@ -64,7 +65,7 @@ class FitResult:
             "residuals": [] if self.residuals is None else list(self.residuals),
         }
         with open(path, "w", newline="\n") as fh:
-            json.dump(payload, fh, indent=2)
+            json.dump(payload, fh, indent=2, allow_nan=False)
             fh.write("\n")
 
 
@@ -83,6 +84,7 @@ def _sigma_from_jacobian(
     n_params: int,
     known_noise: bool,
     param_scales: np.ndarray | None = None,
+    transform: np.ndarray | None = None,
 ):
     """1-sigma uncertainties and degeneracy info from the weighted Jacobian.
 
@@ -90,20 +92,22 @@ def _sigma_from_jacobian(
     deficient or when some parameter's 1-sigma exceeds its physically
     identifiable range (``param_scales``): the data then carry no information
     about that direction.  A parameter with weight along a singular direction
-    gets an infinite 1-sigma.
+    gets an infinite 1-sigma.  ``transform``, the derivative of the reported
+    parameters by the fitted ones, maps the covariance onto the former.
     """
     U, s, Vt = np.linalg.svd(J, full_matrices=False)
     singular = s < SINGULAR_TOL * s[0]
     degenerate = bool(singular.any())
-    var = Vt[~singular].T ** 2 @ s[~singular] ** -2.0
+    V = Vt.T if transform is None else transform @ Vt.T
+    var = V[:, ~singular] ** 2 @ s[~singular] ** -2.0
     if not known_noise:
         dof = max(len(resid) - n_params, 1)
         var = var * (resid @ resid) / dof
-    var[(np.abs(Vt[singular]) > SINGULAR_TOL).any(axis=0)] = np.inf
+    var[(np.abs(V[:, singular]) > SINGULAR_TOL).any(axis=1)] = np.inf
     sigma = np.sqrt(var)
     if param_scales is not None and np.any(sigma > np.asarray(param_scales)):
         degenerate = True
-    direction = Vt[-1] if degenerate else None
+    direction = V[:, -1] if degenerate else None
     return sigma, degenerate, direction
 
 
@@ -191,9 +195,9 @@ def fit_parametric(
     The population model p_n(params) comes from the closed-form state families;
     bounds are 0 <= eta <= 1, 0 <= g <= 0.5, family parameters in their
     validity domain; a family parameter missing from ``params0`` starts at
-    ``_FAMILY_START``.  The trust-region solver (scipy) gets the analytic
-    Jacobian [eta B dp/dtheta, B p, 1] of the model g + eta B p, and the
-    1-sigma uncertainties come from it at the optimum.
+    ``_FAMILY_START``.  Each residual costs one population vector and one
+    product with B.  1-sigma uncertainties come from the Jacobian at the
+    optimum (damped-least-squares trust region via scipy).
     """
     if family not in _FAMILY_PARAMS:
         raise FitError(
@@ -223,19 +227,9 @@ def fit_parametric(
         return g + eta * (B @ distribution(state, n_max).p)
 
     def solve(start, sig_vec):
-        def resid(theta):
-            return (curve(theta) - spec.p_up) / sig_vec
-
-        def jac(theta):
-            state, eta, g = unpack(theta)
-            grad = distribution_gradient(state, n_max)
-            dp = np.stack([grad[k] for k in names], axis=1)
-            J = np.column_stack([eta * (B @ dp), B @ distribution(state, n_max).p, np.ones(len(B))])
-            return J / sig_vec[:, None]
-
         return least_squares(
-            resid, x0=start, jac=jac, bounds=(lo, hi), xtol=1e-12, ftol=1e-14, gtol=1e-12,
-            max_nfev=MAX_ITER * 8,
+            lambda theta: (curve(theta) - spec.p_up) / sig_vec, x0=start, bounds=(lo, hi),
+            xtol=1e-12, ftol=1e-14, gtol=1e-12, max_nfev=MAX_ITER * 8,
         )
 
     res = solve(x0, sig)
@@ -375,16 +369,29 @@ def fit_free_distribution(
         p_hat, g_hat, eta_hat = solve(sig)
         iterations += 1
 
-    # Gauss-Newton Jacobian at the solution for the per-parameter uncertainties.
-    cols = [eta_hat * B, np.ones((len(B), 1))] + ([B @ p_hat[:, None]] if fit_eta else [])
-    J = np.hstack(cols) / sig[:, None]
+    # Gauss-Newton Jacobian of the model by the fitted (p or q, g) at the solution.
+    J = E / sig[:, None]
     resid = (g_hat + eta_hat * (B @ p_hat) - spec.p_up) / sig
-    names = [f"p_{n}" for n in range(k)] + ["g"] + (["eta"] if fit_eta else [])
-    scales = np.array([1.0] * k + [0.5] + ([1.0] if fit_eta else []))
+    names = [f"p_{n}" for n in range(k)] + ["g"]
+    transform = None
+    if fit_eta:
+        # p = q / sum(q) has dp/dq = (1 - p 1^T) / eta
+        transform = np.eye(k + 1)
+        transform[:k, :k] = (np.eye(k) - p_hat[:, None]) / (eta_hat or 1.0)
     sigma, degenerate, direction = _sigma_from_jacobian(
-        J, resid, J.shape[1], known_noise=spec.shots_per_point is not None,
-        param_scales=scales,
+        J, resid, k + 1, known_noise=spec.shots_per_point is not None,
+        param_scales=np.array([1.0] * k + [0.5]), transform=transform,
     )
+    if fit_eta:
+        # eta * p is all the data fix: eta is only bounded below by sum(q), so it
+        # is unidentifiable along (dp, deta) = (p, -eta)
+        names.append("eta")
+        sigma = np.append(sigma, np.inf)
+        if eta_hat == 0:  # no excitation seen, so no population either
+            sigma[:k] = np.inf
+        degenerate = True
+        direction = np.append(np.append(p_hat, 0.0), -eta_hat)
+        direction /= np.linalg.norm(direction) or 1.0
     return FitResult(
         family="free",
         params={},

@@ -9,7 +9,6 @@ effective model and the driven simulation share one frequency axis.
 from __future__ import annotations
 
 import csv
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -170,51 +169,6 @@ def _check_eta_g(eta: float, g: float) -> None:
         raise SpectroscopyError(f"need 0 <= eta <= 1, g >= 0, g + eta <= 1; got eta={eta}, g={g}")
 
 
-def _block_p_up(
-    delta: float, xi: float, drive: DriveParams, detuning: np.ndarray, M: int, rho_M: np.ndarray
-) -> np.ndarray:
-    """P(up) after t_pi from block M at each drive detuning (axis offset included)."""
-    k = drive.order
-    # Block M: the down chain of manifold M, then the up chain of M + 2k, both by n_a.
-    H_down, _ = manifold_block(delta, xi, M)
-    H_up, _ = manifold_block(delta, xi, M + 2 * k)
-    m = len(H_down)
-    # sigma+ a^dag^k takes down (n_a, n_b) to up (n_a + k, n_b).
-    n = np.arange(m)
-    V = np.zeros((len(H_up), m))
-    V[n + k, n] = 0.5 * drive.drive_rabi * np.sqrt(np.prod([n + j for j in range(1, k + 1)], axis=0))
-    H = np.repeat(np.block([[H_down, V.T], [V, H_up]])[None], detuning.size, axis=0)
-    # The drive frame shifts only the up chain's diagonal.
-    up = np.arange(m, m + len(H_up))
-    H[:, up, up] -= detuning[:, None]
-    vals, vecs = np.linalg.eigh(H)
-    return block_populations(vals, vecs, rho_M, drive.t_pi)[:, m:].sum(axis=1)
-
-
-def _general_scan(
-    rho: np.ndarray, params: CoupledModeParams, drive: DriveParams, detuning: np.ndarray
-) -> np.ndarray:
-    """The scan summed over every nonzero M-block of a two-mode density matrix."""
-    p_up = np.zeros(detuning.size)
-    for M, rho_M in manifold_blocks(rho, params.cutoff):
-        p_up += _block_p_up(params.delta, params.xi, drive, detuning, M, rho_M)
-    return p_up
-
-
-SCAN_COLUMN_MEMO = 256  # scan columns kept, 8 bytes per grid point each
-
-
-@functools.lru_cache(maxsize=SCAN_COLUMN_MEMO)
-def _fock_column(delta: float, xi: float, drive: DriveParams, detuning: bytes, n: int) -> np.ndarray:
-    """The scan of |0_a, n_b> (block M = n alone) at the drive detunings, axis
-    offset included, whose float64 bytes are ``detuning``. The key holds the
-    order, t_pi and Rabi frequency through ``drive``, and the grid and axis
-    reference through ``detuning``. Read-only, as the memo shares it."""
-    col = _block_p_up(delta, xi, drive, np.frombuffer(detuning), n, np.ones((1, 1)))
-    col.flags.writeable = False
-    return col
-
-
 def driven_scan(
     initial: FockState,
     params: CoupledModeParams,
@@ -231,11 +185,6 @@ def driven_scan(
     Drive and coupling conserve M = 2 n_a + n_b - 2k sigma_up, so the scan is
     exact on M-blocks (see ``dynamics``); params.cutoff must carry the qubit but
     only sizes the basis of ``initial``, the motional-only state.
-
-    A radial state in the axial vacuum puts |0_a, n_b> alone in block M = n,
-    so its scan is sum_n p_n col_n, where col_n is the scan of |0_a, n_b>;
-    the columns are memoised (at most SCAN_COLUMN_MEMO of them) and computed
-    only where p_n != 0. Any other state is scanned block by block.
 
     axis_reference selects the zero of the detuning axis: "dressed" pins it to
     the dressed n_b = 0 sideband (matching ``peak_positions``; requires the
@@ -262,17 +211,22 @@ def driven_scan(
         raise SpectroscopyError(f"axis_reference must be 'dressed' or 'bare', got {axis_reference!r}")
 
     grid = np.asarray(grid, dtype=float)
-    detuning = grid + ref
-    rho = initial.density()
-    blocks = rho.reshape(cutoff.dim_a, cutoff.dim_b, cutoff.dim_a, cutoff.dim_b)
-    if blocks[1:].any() or blocks[:, :, 1:].any():
-        p_up = _general_scan(rho, params, drive, detuning)
-    else:
-        key = (params.delta, params.xi, drive, detuning.tobytes())
-        p = blocks[0, :, 0, :].diagonal().real
-        p_up = np.zeros(grid.size)
-        for n in np.flatnonzero(p):
-            p_up += p[n] * _fock_column(*key, int(n))
+    p_up = np.zeros(grid.size)
+    for M, rho_M in manifold_blocks(initial.density(), cutoff):
+        # Block M: the down chain of manifold M, then the up chain of M + 2k, both by n_a.
+        H_down, _ = manifold_block(params.delta, params.xi, M)
+        H_up, _ = manifold_block(params.delta, params.xi, M + 2 * k)
+        m = len(H_down)
+        # sigma+ a^dag^k takes down (n_a, n_b) to up (n_a + k, n_b).
+        n = np.arange(m)
+        V = np.zeros((len(H_up), m))
+        V[n + k, n] = 0.5 * drive.drive_rabi * np.sqrt(np.prod([n + j for j in range(1, k + 1)], axis=0))
+        H = np.repeat(np.block([[H_down, V.T], [V, H_up]])[None], grid.size, axis=0)
+        # The drive frame shifts only the up chain's diagonal.
+        up = np.arange(m, m + len(H_up))
+        H[:, up, up] -= (grid + ref)[:, None]
+        vals, vecs = np.linalg.eigh(H)
+        p_up += block_populations(vals, vecs, rho_M, drive.t_pi)[:, m:].sum(axis=1)
     return Spectrum(grid, np.clip(p_up, 0.0, 1.0))
 
 

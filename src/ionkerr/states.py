@@ -247,13 +247,15 @@ def distribution(spec: StateSpec, n_max: int) -> PhononDistribution:
 
     This never fails on truncation: the weight above n_max is reported as
     truncation_tail, never folded back (a Fock index above n_max gives tail 1).
-    squeezed_fock and squeezed_thermal sum w_k |<k|S|m>|^2 over the rows k
-    that ``_squeeze_weights`` picks.
+    squeezed_fock takes |<m|S|n>|^2 down column n; squeezed_thermal sums
+    p_th(n) |<m|S|n>|^2 over thermal columns until the thermal weight left out
+    is below THERMAL_SUM_TAIL.
     """
     par = spec.params
     n = par.get("n", 0)
     if n < 0:
         raise StatePrepError(f"{spec.family} needs n >= 0, got {n}")
+    r_mag = abs(par.get("r", 0.0))
     if spec.family == "fock":
         p = np.zeros(n_max + 1)
         if n <= n_max:
@@ -263,64 +265,16 @@ def distribution(spec: StateSpec, n_max: int) -> PhononDistribution:
     elif spec.family == "thermal":
         p = thermal_pops(par["nbar"], n_max)
     elif spec.family == "squeezed_vacuum":
-        p = squeezed_vacuum_pops(abs(par["r"]), n_max)
-    else:
-        w = _squeeze_weights(spec)
-        p = w @ squeeze_elements(abs(par["r"]), len(w) - 1, n_max) ** 2
+        p = squeezed_vacuum_pops(r_mag, n_max)
+    elif spec.family == "squeezed_fock":
+        p = squeeze_elements(r_mag, n_max, n)[:, n] ** 2
+    else:  # squeezed_thermal
+        nbar = par["nbar"]
+        # columns 0..cols leave out the thermal weight (nbar / (1 + nbar))^(cols + 1)
+        cols = int(np.log(THERMAL_SUM_TAIL) / np.log(nbar / (1 + nbar))) if nbar > 0 else 0
+        # |<m|S|n>| = |<n|S|m>| (S(r)^T = S(-r)), so recur over the short side
+        p = thermal_pops(nbar, cols) @ squeeze_elements(r_mag, cols, n_max) ** 2
     return PhononDistribution(p, truncation_tail=max(0.0, 1.0 - p.sum()))
-
-
-def _squeeze_weights(spec: StateSpec) -> np.ndarray:
-    """Weights w_k with p_m = sum_k w_k |<k|S|m>|^2 for a squeezed family.
-
-    |<m|S|k>| = |<k|S|m>| (S(r)^T = S(-r)), so the recurrence runs over the
-    few rows k only: row 0, row n, or the thermal rows until the thermal
-    weight left out, (nbar / (1 + nbar))^(rows + 1), is below THERMAL_SUM_TAIL
-    (at least rows 0 and 1, so that d/d nbar is exact at nbar = 0 too).
-    """
-    if spec.family == "squeezed_vacuum":
-        return np.ones(1)
-    if spec.family == "squeezed_fock":
-        return np.eye(spec.params["n"] + 1)[-1]
-    nbar = spec.params["nbar"]
-    rows = int(np.log(THERMAL_SUM_TAIL) / np.log(nbar / (1 + nbar))) if nbar > 0 else 1
-    return thermal_pops(nbar, max(rows, 1))
-
-
-def _thermal_gradient(p: np.ndarray, nbar: float) -> np.ndarray:
-    """d p_n / d nbar = (n p_(n-1) - (n + 1) p_n) / (1 + nbar) of geometric p."""
-    n = np.arange(len(p))
-    return (n * np.append(0.0, p[:-1]) - (n + 1) * p) / (1 + nbar)
-
-
-def distribution_gradient(spec: StateSpec, n_max: int) -> dict[str, np.ndarray]:
-    """d p_n / d theta over n = 0..n_max for each continuous parameter theta of
-    ``spec`` (alpha, nbar, r, each taken real and >= 0), in closed form.
-
-    The squeezed families have p_m = sum_k w_k <k|S|m>^2 (``_squeeze_weights``),
-    and d_r S = S (b^2 - b^dag^2) / 2 gives d_r <k|S|m> from columns m -+ 2 of
-    ``squeeze_elements``.
-    """
-    par = spec.params
-    if spec.family == "coherent":
-        alpha = abs(par["alpha"])
-        p = poisson_pops(alpha**2, n_max)
-        return {"alpha": 2 * alpha * (np.append(0.0, p[:-1]) - p)}
-    if spec.family == "thermal":
-        return {"nbar": _thermal_gradient(thermal_pops(par["nbar"], n_max), par["nbar"])}
-    if spec.family == "fock":
-        raise StatePrepError(f"{spec.family} has no continuous parameter")
-    w = _squeeze_weights(spec)
-    T = squeeze_elements(abs(par["r"]), len(w) - 1, n_max + 2)
-    S = T[:, : n_max + 1]
-    m = np.arange(n_max + 1)
-    below = np.zeros_like(S)  # <k|S|m - 2>, zero for m < 2
-    below[:, 2:] = T[:, : n_max - 1]
-    dS = 0.5 * (np.sqrt(m * (m - 1.0)) * below - np.sqrt((m + 1.0) * (m + 2)) * T[:, 2:])
-    out = {"r": w @ (2 * S * dS)}
-    if spec.family == "squeezed_thermal":
-        out["nbar"] = _thermal_gradient(w, par["nbar"]) @ S**2
-    return out
 
 
 def prepare(spec: StateSpec, n_max: int) -> tuple[FockState, PhononDistribution]:

@@ -235,6 +235,19 @@ class TestScanAndFit:
         assert "eta" in capsys.readouterr().err
         assert run(*args, "--eta", "1.0") == 0
 
+    def test_free_eta_fit_json_is_strict(self, tmp_path):
+        # sigma_eta is infinite, and JSON has no infinity: it is written as null
+        assert run("scan", "--out", str(tmp_path), "--shots", "400") == 0
+        args = ("fit", "--out", str(tmp_path), "--input", str(tmp_path / "scan.csv"))
+        assert run(*args, "--family", "free", "--eta", "free") == 0
+
+        def reject(token):
+            raise ValueError(f"non-JSON constant {token}")
+
+        result = json.loads((tmp_path / "fit.json").read_text(), parse_constant=reject)
+        assert result["param_sigma"]["eta"] is None
+        assert isinstance(result["param_sigma"]["p_0"], float)
+
     def test_effective_second_order_refused(self, tmp_path, capsys):
         # the effective model knows the first sideband only; it used to ignore --order
         args = ("scan", "--out", str(tmp_path), "--state", "thermal:1.5", "--n-max", "18")

@@ -358,9 +358,38 @@ class TestFreeDistribution:
         res = fit_free_distribution(sp, centers_10, drive, 10, eta=None)
         assert res.degenerate
         assert res.param_sigma["eta"] == np.inf
+        direction = res.degenerate_direction
+        assert direction["eta"] < 0 and direction["p_0"] == pytest.approx(
+            -direction["eta"] * res.p_hat.p[0] / res.eta_hat
+        )
         assert res.p_hat.p.sum() <= 1.0
         p, _, eta = slsqp_free_fit(sp, centers_10, drive, 10, eta=None)
         assert np.max(np.abs(res.eta_hat * res.p_hat.p - eta * p)) < 1e-5
+
+    def test_free_eta_population_sigma_matches_constrained_parameters(
+        self, params_143, drive, grid, centers_10
+    ):
+        # the 1-sigma of p = q / sum(q) equals that of a fit over (p_1..p_10, eta, g)
+        # with p_0 = 1 - sum of the rest, the same model in other coordinates
+        # (unit weights and one pass, so both sides see the same residuals)
+        truth = distribution(StateSpec("thermal", {"nbar": 1.0}), 10)
+        noisy = add_shot_noise(model_spectrum(truth, params_143, drive, grid, eta=0.6, g=0.02), 400, 5)
+        res = fit_free_distribution(Spectrum(grid, noisy.p_up), centers_10, drive, 10, eta=None)
+        B = response_basis(grid, centers_10, drive)
+        J = np.column_stack([res.eta_hat * (B[:, 1:] - B[:, :1]), B @ res.p_hat.p, np.ones(len(B))])
+        rss = res.residuals @ res.residuals
+        cov = np.linalg.inv(J.T @ J) * rss / (len(grid) - J.shape[1])
+        want = np.sqrt(np.append(cov[:10, :10].sum(), np.diag(cov)[:10]))
+        got = np.array([res.param_sigma[f"p_{n}"] for n in range(11)])
+        assert np.max(np.abs(got / want - 1)) < 1e-8
+        assert res.param_sigma["g"] == pytest.approx(np.sqrt(cov[-1, -1]), rel=1e-8)
+
+    def test_free_eta_on_dark_data_sees_no_population(self, drive, grid, centers_10):
+        # eta_hat = 0 exactly: p = q / eta is undefined, so every p_n is unbounded
+        dark = Spectrum(grid, np.zeros(grid.size), shots_per_point=400)
+        res = fit_free_distribution(dark, centers_10, drive, 10, eta=None)
+        assert res.eta_hat == 0 and not res.p_hat.p.any()
+        assert all(res.param_sigma[f"p_{n}"] == np.inf for n in range(11))
 
     def test_simplex_guard_holds_in_float(self):
         # p / sum(p) sums to 1 + 2.2e-16 here; the guard steps it down
@@ -422,3 +451,15 @@ class TestFreeDistribution:
         payload = json.loads(path.read_text())
         assert payload["converged"] is True
         assert len(payload["p_hat"]) == 11
+
+    def test_json_artifact_writes_infinite_sigma_as_null(
+        self, thermal_spectrum, drive, centers_10, tmp_path
+    ):
+        res = fit_free_distribution(thermal_spectrum, centers_10, drive, 10, eta=0.7)
+        res.param_sigma["p_3"] = np.inf
+        path = tmp_path / "fit.json"
+        res.to_json(str(path))
+        assert "Infinity" not in path.read_text()
+        import json
+
+        assert json.loads(path.read_text())["param_sigma"]["p_3"] is None

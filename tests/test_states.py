@@ -11,7 +11,6 @@ from ionkerr.states import (
     StatePrepError,
     StateSpec,
     distribution,
-    distribution_gradient,
     embed_radial,
     fock10_imperfect_preset,
     format_state_spec,
@@ -331,33 +330,6 @@ class TestFamilyPopulationsOracle:
     def test_negative_fock_index_rejected(self):
         with pytest.raises(StatePrepError, match="n >= 0"):
             distribution(StateSpec("squeezed_fock", {"n": -1, "r": 0.5}), 10)
-
-
-GRADIENT_CASES = [
-    ("coherent", {"alpha": 0.5}),
-    ("coherent", {"alpha": 1.2}),
-    ("thermal", {"nbar": 0.3}),
-    ("thermal", {"nbar": 1.5}),
-    ("squeezed_vacuum", {"r": 0.2}),
-    ("squeezed_vacuum", {"r": 1.2}),
-    ("squeezed_thermal", {"nbar": 0.8, "r": 0.4}),
-    ("squeezed_thermal", {"nbar": 2.0, "r": 0.9}),
-    ("squeezed_fock", {"n": 1, "r": 0.5}),
-    ("squeezed_fock", {"n": 3, "r": 1.2}),
-]
-
-
-class TestDistributionGradient:
-    @pytest.mark.parametrize("family, params", GRADIENT_CASES, ids=lambda v: str(v))
-    def test_matches_central_difference(self, family, params):
-        grad = distribution_gradient(StateSpec(family, params), 10)
-        assert set(grad) == set(params) - {"n"}
-        for name, got in grad.items():
-            h = 1e-5
-            up = distribution(StateSpec(family, dict(params, **{name: params[name] + h})), 10).p
-            down = distribution(StateSpec(family, dict(params, **{name: params[name] - h})), 10).p
-            want = (up - down) / (2 * h)
-            assert np.max(np.abs(got - want)) <= 1e-7 * np.max(np.abs(want)), name
 
 
 class TestFockPreset:
