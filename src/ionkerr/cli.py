@@ -3,7 +3,7 @@ emitting reproducible CSV/JSON artifacts plus a run manifest.
 
 Subcommands: modes, exchange, crossing, shift, scan, fit, shots, walk.
 Exit codes: 0 success, 1 fit non-convergence (artifacts still written),
-2 input/configuration errors.
+2 input/configuration errors (one "error:" line on stderr).
 """
 
 from __future__ import annotations
@@ -34,12 +34,12 @@ from .spectra import (
 )
 from .states import (
     TAIL_LIMIT,
+    PhononDistribution,
     StatePrepError,
     distribution,
     embed_radial,
     fock10_imperfect_preset,
     parse_state_spec,
-    prepare,
     random_walk_thermal,
     smallest_cutoff,
 )
@@ -173,22 +173,22 @@ def cmd_shift(args) -> int:
     return 0
 
 
-def _parse_state(args, n_max: int):
-    """The --state at radial cutoff n_max, which is --n-max plus any pad the
-    command adds. More than TAIL_LIMIT of its population above the cutoff is
-    an error that names the smallest --n-max that suffices."""
+def _parse_state(args, n_max: int) -> PhononDistribution:
+    """The populations of --state at radial cutoff n_max, which is --n-max
+    plus any pad the command adds. More than TAIL_LIMIT of its population
+    above the cutoff is an error that names the smallest --n-max that suffices."""
     if args.state == "fock10_imperfect":
-        return None, fock10_imperfect_preset(n_max)
+        return fock10_imperfect_preset(n_max)
     spec = parse_state_spec(args.state)
-    tail = distribution(spec, n_max).truncation_tail
-    if tail > TAIL_LIMIT:
+    dist = distribution(spec, n_max)
+    if dist.truncation_tail > TAIL_LIMIT:
         pad = n_max - args.n_max
         need = smallest_cutoff(lambda m: distribution(spec, m + pad).truncation_tail, args.n_max)
         raise CliError(
-            f"{args.state} has {tail:.2e} of its population above "
+            f"{args.state} has {dist.truncation_tail:.2e} of its population above "
             f"n_b = {n_max}, more than {TAIL_LIMIT}; use --n-max {need}"
         )
-    return prepare(spec, n_max)
+    return dist
 
 
 def cmd_scan(args) -> int:
@@ -198,22 +198,19 @@ def cmd_scan(args) -> int:
     delta = TWO_PI * args.delta_hz
     drive = DriveParams(t_pi=args.t_pi_ms * 1e-3, order=args.order)
     grid = TWO_PI * np.linspace(args.grid_min_hz, args.grid_max_hz, args.points)
-    n_max = args.n_max
     if args.driven:
-        # The driven scan is exact; its cutoff only sizes the radial state.
-        cutoff = FockCutoff(n_a_max=1, n_b_max=n_max + DRIVEN_N_B_PAD, with_qubit=True)
+        # The driven scan is exact; its cutoff only sizes the radial state,
+        # which enters dephased: the scan reads its populations only.
+        cutoff = FockCutoff(n_a_max=1, n_b_max=args.n_max + DRIVEN_N_B_PAD, with_qubit=True)
         params = _params_at(cfg, delta, cutoff)
-        state, dist = _parse_state(args, cutoff.n_b_max)
-        if state is None:
-            raise CliError("--driven needs a concrete state, not a distribution preset")
-        initial = embed_radial(state, FockCutoff(cutoff.n_a_max, cutoff.n_b_max))
+        p = _parse_state(args, cutoff.n_b_max).p
+        initial = embed_radial(FockState(np.diag(p)), FockCutoff(cutoff.n_a_max, cutoff.n_b_max))
         spectrum = driven_scan(initial, params, drive, grid)
         if args.eta != 1.0 or args.g != 0.0:
             spectrum = Spectrum(spectrum.detuning, args.g + args.eta * spectrum.p_up)
     else:
-        params = _params_at(cfg, delta)
-        _, dist = _parse_state(args, n_max)
-        spectrum = model_spectrum(dist, params, drive, grid, eta=args.eta, g=args.g)
+        dist = _parse_state(args, args.n_max)
+        spectrum = model_spectrum(dist, _params_at(cfg, delta), drive, grid, eta=args.eta, g=args.g)
     if args.shots:
         spectrum = add_shot_noise(spectrum, args.shots, args.seed)
     path = _write_table(out, "scan", SPECTRUM_COLUMNS, spectrum.rows(), args.format)
@@ -252,17 +249,14 @@ def cmd_shots(args) -> int:
     _, config_hash = _load_trap(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
-    n_max = args.n_max
-    state, _ = _parse_state(args, n_max)
-    if state is None:
-        raise CliError("shots needs a concrete state, not a distribution preset")
+    p = _parse_state(args, args.n_max).p
     log_path = out / "shots.log"
     bright = 0
     with open(log_path, "w", newline="\n") as fh:
         dark_run = 0
         for k in range(args.num_shots):
             record, _ = single_shot(
-                state, args.target_n, args.eta, args.g, rng=np.random.default_rng([args.seed, k])
+                p, args.target_n, args.eta, args.g, rng=np.random.default_rng([args.seed, k])
             )
             if record.outcome == "dark":
                 dark_run += 1
@@ -273,7 +267,7 @@ def cmd_shots(args) -> int:
         "target_n": args.target_n,
         "shots": args.num_shots,
         "bright_fraction": bright / args.num_shots,
-        "expected_bright": args.g + args.eta * float(state.populations()[args.target_n]),
+        "expected_bright": args.g + args.eta * float(p[args.target_n]),
     }
     summary_path = out / "shots_summary.json"
     with open(summary_path, "w", newline="\n") as fh:
@@ -294,8 +288,26 @@ def cmd_walk(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message):
+        """A bad argument exits 2 with one error line, like every other input error."""
+        self.exit(2, f"error: {message}\n")
+
+
+def _at_least(least: int):
+    """argparse type: an integer >= least, so no command runs empty."""
+
+    def integer(text: str) -> int:
+        value = int(text)
+        if value < least:
+            raise argparse.ArgumentTypeError(f"must be >= {least}, got {value}")
+        return value
+
+    return integer
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="ionkerr",
         description="Cross-Kerr coupled motional modes of three trapped ions: "
         "spectra, phonon counting, reconstruction.",
@@ -317,15 +329,15 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--delta-hz", type=float, default=0.0)
     p.add_argument("--t-max-ms", type=float, default=2.0)
-    p.add_argument("--points", type=int, default=401)
+    p.add_argument("--points", type=_at_least(1), default=401)
     p.set_defaults(func=cmd_exchange)
 
     p = sub.add_parser("crossing", help="eigenenergy branches across the two-mode resonance")
     common(p)
     p.add_argument("--delta-min-khz", type=float, default=-20.0)
     p.add_argument("--delta-max-khz", type=float, default=120.0)
-    p.add_argument("--points", type=int, default=201)
-    p.add_argument("--manifold-n-max", type=int, default=4)
+    p.add_argument("--points", type=_at_least(1), default=201)
+    p.add_argument("--manifold-n-max", type=_at_least(0), default=4)
     p.set_defaults(func=cmd_crossing)
 
     p = sub.add_parser("shift", help="dispersive sideband shift vs radial phonon number")
@@ -345,7 +357,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--shots", type=int, default=0, help="0 = noiseless")
     p.add_argument("--grid-min-hz", type=float, default=-4.5e3)
     p.add_argument("--grid-max-hz", type=float, default=1.5e3)
-    p.add_argument("--points", type=int, default=161)
+    p.add_argument("--points", type=_at_least(1), default=161)
     p.add_argument("--n-max", type=int, default=12)
     p.add_argument("--driven", action="store_true", help="full qubit+two-mode dynamics")
     p.set_defaults(func=cmd_scan)
@@ -374,7 +386,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--state", default="coherent:1.0+0i")
     p.add_argument("--target-n", type=int, default=0)
-    p.add_argument("--num-shots", type=int, default=1000)
+    p.add_argument("--num-shots", type=_at_least(1), default=1000)
     p.add_argument("--eta", type=float, default=0.7)
     p.add_argument("--g", type=float, default=0.0)
     p.add_argument("--n-max", type=int, default=20)
@@ -382,9 +394,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("walk", help="random-walk thermal state preparation (Monte Carlo)")
     common(p)
-    p.add_argument("--pulses", type=int, default=18)
+    p.add_argument("--pulses", type=_at_least(1), default=18)
     p.add_argument("--step-alpha", type=float, default=0.2887)
-    p.add_argument("--trajectories", type=int, default=10000)
+    p.add_argument("--trajectories", type=_at_least(1), default=10000)
     p.add_argument("--n-max", type=int, default=20)
     p.set_defaults(func=cmd_walk)
 

@@ -152,12 +152,6 @@ def dressed_energy(delta: float, xi: float, n_a: int, n_b: int) -> float:
     return _manifold_dressed_energies(delta, xi, 2 * n_a + n_b)[(n_a, n_b)]
 
 
-def sideband_offset(delta: float, xi: float, n_b: int) -> float:
-    """Exact axial-sideband frequency for radial occupation n_b, relative to the
-    bare (uncoupled) sideband: [E(1, n_b) - E(0, n_b)] dressed, frame offset 0."""
-    return dressed_energy(delta, xi, 1, n_b) - dressed_energy(delta, xi, 0, n_b)
-
-
 @dataclass
 class ShiftTable:
     """Axial sideband shifts vs radial phonon number, relative to the n_b = 0 peak."""

@@ -91,11 +91,15 @@ def _sigma_from_jacobian(
     A fit is flagged degenerate either when the Jacobian is numerically rank
     deficient or when some parameter's 1-sigma exceeds its physically
     identifiable range (``param_scales``): the data then carry no information
-    about that direction.  A parameter with weight along a singular direction
-    gets an infinite 1-sigma.  ``transform``, the derivative of the reported
-    parameters by the fitted ones, maps the covariance onto the former.
+    about that direction.  A Jacobian with fewer rows than parameters is rank
+    deficient by construction.  A parameter with weight along a singular
+    direction gets an infinite 1-sigma.  ``transform``, the derivative of the
+    reported parameters by the fitted ones, maps the covariance onto the former.
     """
-    U, s, Vt = np.linalg.svd(J, full_matrices=False)
+    # A wide J has no singular values for the directions it cannot see: the full
+    # V^T holds them, and they count as singular.
+    _, s, Vt = np.linalg.svd(J, full_matrices=len(J) < J.shape[1])
+    s = np.append(s, np.zeros(len(Vt) - len(s)))
     singular = s < SINGULAR_TOL * s[0]
     degenerate = bool(singular.any())
     V = Vt.T if transform is None else transform @ Vt.T

@@ -138,13 +138,9 @@ class FockState:
         return np.real(np.diag(self.data))
 
 
-def hermiticity_defect(M: np.ndarray) -> float:
-    return float(np.max(np.abs(M - M.conj().T)))
-
-
 def assert_hermitian(M: np.ndarray, rtol: float = HERM_RTOL) -> None:
     scale = float(np.max(np.abs(M)))
-    defect = hermiticity_defect(M)
+    defect = float(np.max(np.abs(M - M.conj().T)))
     if scale > 0 and defect > rtol * scale:
         raise FockSpaceError(
             f"matrix is not Hermitian: max|M - M^dag| = {defect:.3e} "

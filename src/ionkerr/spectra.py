@@ -26,6 +26,7 @@ from .states import PhononDistribution
 from .trap import TWO_PI
 
 SPECTRUM_COLUMNS = ["detuning_hz", "p_up", "shots"]
+FWHM_PER_RABI = 1.5973707105694022  # lineshape FWHM in units of the Rabi frequency
 
 class SpectroscopyError(ValueError):
     pass
@@ -101,11 +102,6 @@ class Spectrum:
         return cls(np.array(det), np.array(pup), shots_per_point=n_shots)
 
 
-def default_grid(n_points: int = 161) -> np.ndarray:
-    """Detuning grid covering ten phonon peaks plus margins at paper-like parameters."""
-    return TWO_PI * np.linspace(-4.5e3, 1.5e3, n_points)
-
-
 def lineshape(delta_n: np.ndarray | float, drive: DriveParams) -> np.ndarray | float:
     """Pi-pulse excitation profile f(D) = [(W/Wn) sin(pi Wn / 2W)]^2, Wn = sqrt(W^2 + D^2).
 
@@ -117,16 +113,9 @@ def lineshape(delta_n: np.ndarray | float, drive: DriveParams) -> np.ndarray | f
 
 
 def lineshape_fwhm(drive: DriveParams) -> float:
-    """Full width at half maximum of the single-peak profile (numeric root)."""
-    omega = drive.rabi
-    lo, hi = 0.0, np.sqrt(3) * omega
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        if lineshape(mid, drive) > 0.5:
-            lo = mid
-        else:
-            hi = mid
-    return 2 * lo
+    """Full width at half maximum of the single-peak profile: 2 x W, where
+    f(x W) = sin^2(pi sqrt(1 + x^2) / 2) / (1 + x^2) = 1/2."""
+    return FWHM_PER_RABI * drive.rabi
 
 
 def peak_positions(params: CoupledModeParams, n_max: int) -> np.ndarray:

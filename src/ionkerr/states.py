@@ -1,7 +1,11 @@
-"""Preparation of radial-mode motional states and their phonon number distributions.
+"""Radial-mode motional states as phonon number distributions.
 
-Everything here lives on the single-mode radial space of dimension n_max + 1.
-Embedding into the two-mode space (axial vacuum) is ``embed_radial``.
+The package reads a radial state in the axial vacuum only through its
+populations p_n: the cross-Kerr coupling conserves N = 2 n_a + n_b, so
+|0_a, n_b> is alone in its block, and the shot POVM is diagonal in the Fock
+basis. ``distribution`` is therefore the one form a state takes; ``prepare``
+adds the truncation check and the dephased state diag(p) that the general
+two-mode path (``embed_radial``, ``spectra.driven_scan``) takes.
 
 Conventions: D(alpha) = exp(alpha b^dag - alpha* b); S(r) = exp((r* b^2 - r b^dag^2)/2)
 (the standard anti-Hermitian exponent; all populations depend on |r| only).
@@ -15,7 +19,7 @@ import re
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import gammaln, i0
+from scipy.special import gammaln
 
 from .fock import FockCutoff, FockSpaceError, FockState
 
@@ -203,23 +207,6 @@ def squeeze_elements(r: complex, rows: int, cols: int) -> np.ndarray:
     return S
 
 
-def squeeze_op(r: complex, n_max: int) -> np.ndarray:
-    """S(r) = exp((r* b^2 - r b^dag^2)/2) on the radial mode."""
-    r_mag = abs(r)
-    if r_mag > 0 and np.sinh(r_mag) ** 2 > n_max / 4:
-        raise StatePrepError(
-            f"squeezing r={r_mag} too strong for n_max={n_max} (sinh^2 r = {np.sinh(r_mag)**2:.2f})"
-        )
-    tail = 1.0 - squeezed_vacuum_pops(r_mag, n_max).sum()
-    if tail > TAIL_LIMIT:
-        need = smallest_cutoff(lambda m: 1.0 - squeezed_vacuum_pops(r_mag, m).sum(), n_max)
-        raise StatePrepError(
-            f"squeeze tail mass {tail:.2e} beyond n_max={n_max} exceeds {TAIL_LIMIT}; "
-            f"use n_max >= {need}"
-        )
-    return squeeze_elements(r, n_max, n_max).astype(complex)
-
-
 def smallest_cutoff(tail, start: int, limit: float = TAIL_LIMIT) -> int:
     """The smallest cutoff m > start with tail(m) <= limit, for a tail that only
     falls as the cutoff grows: double past it, then bisect (about 2 log2(m / start)
@@ -231,11 +218,6 @@ def smallest_cutoff(tail, start: int, limit: float = TAIL_LIMIT) -> int:
         mid = (lo + hi) // 2
         lo, hi = (lo, mid) if tail(mid) <= limit else (mid, hi)
     return hi
-
-
-def thermal_state(nbar: float, n_max: int) -> FockState:
-    """Diagonal density matrix with geometric weights (tail mass left unnormalized)."""
-    return FockState(np.diag(thermal_pops(nbar, n_max)).astype(complex))
 
 
 # --- preparation --------------------------------------------------------------
@@ -278,69 +260,20 @@ def distribution(spec: StateSpec, n_max: int) -> PhononDistribution:
 
 
 def prepare(spec: StateSpec, n_max: int) -> tuple[FockState, PhononDistribution]:
-    """Radial-mode FockState and its exact population vector for a state family.
+    """The dephased radial state diag(p) and its populations over n = 0..n_max.
 
-    Unlike ``distribution``, this raises when the state cannot be built within
-    n_max: a Fock index above it, or a coherent or squeezed tail too large.
+    Unlike ``distribution``, this raises when more than TAIL_LIMIT of the
+    population lies above n_max (a Fock index above it included), and names
+    the smallest n_max that suffices.
     """
-    if spec.family == "fock":
-        n = spec.params["n"]
-        if not 0 <= n <= n_max:
-            raise StatePrepError(f"fock({n}) outside cutoff n_max={n_max}")
-        vec = np.zeros(n_max + 1, dtype=complex)
-        vec[n] = 1.0
-        return FockState(vec), distribution(spec, n_max)
-
-    if spec.family == "coherent":
-        alpha = spec.params["alpha"]
-        dist = distribution(spec, n_max)
-        if dist.truncation_tail > TAIL_LIMIT:
-            raise StatePrepError(
-                f"coherent-state tail {dist.truncation_tail:.2e} exceeds {TAIL_LIMIT} at n_max={n_max}"
-            )
-        vec = np.zeros(n_max + 1, dtype=complex)
-        if alpha == 0:
-            vec[0] = 1.0
-        else:
-            n = np.arange(n_max + 1)
-            vec[:] = np.exp(-abs(alpha) ** 2 / 2 + n * np.log(alpha) - gammaln(n + 1) / 2)
-            vec /= np.linalg.norm(vec)
-        return FockState(vec), dist
-
-    if spec.family == "thermal":
-        return thermal_state(spec.params["nbar"], n_max), distribution(spec, n_max)
-
-    if spec.family == "squeezed_vacuum":
-        r = spec.params["r"]
-        S = squeeze_op(r, n_max)
-        vec = S[:, 0].copy()
-        tail = max(0.0, 1.0 - float(np.linalg.norm(vec) ** 2))
-        vec /= np.linalg.norm(vec)
-        return FockState(vec), PhononDistribution(np.abs(S[:, 0]) ** 2, truncation_tail=tail)
-
-    if spec.family == "squeezed_thermal":
-        nbar, r = spec.params["nbar"], spec.params["r"]
-        S = squeeze_op(r, n_max)
-        rho = S @ np.diag(thermal_pops(nbar, n_max)).astype(complex) @ S.conj().T
-        rho = 0.5 * (rho + rho.conj().T)
-        tail = max(0.0, 1.0 - float(np.trace(rho).real))
-        pops = np.real(np.diag(rho))
-        return FockState(rho / np.trace(rho).real), PhononDistribution(pops, truncation_tail=tail)
-
-    if spec.family == "squeezed_fock":
-        n, r = spec.params["n"], spec.params["r"]
-        if not 0 <= n <= n_max:
-            raise StatePrepError(f"squeezed_fock base n={n} outside cutoff n_max={n_max}")
-        S = squeeze_op(r, n_max)
-        vec = S[:, n].copy()
-        tail = max(0.0, 1.0 - float(np.linalg.norm(vec) ** 2))
-        if tail > 10 * TAIL_LIMIT:
-            raise StatePrepError(f"squeezed_fock tail {tail:.2e} too large at n_max={n_max}")
-        pops = np.abs(vec) ** 2
-        vec /= np.linalg.norm(vec)
-        return FockState(vec), PhononDistribution(pops, truncation_tail=tail)
-
-    raise StatePrepError(f"unknown family {spec.family!r}")
+    dist = distribution(spec, n_max)
+    if dist.truncation_tail > TAIL_LIMIT:
+        need = smallest_cutoff(lambda m: distribution(spec, m).truncation_tail, n_max)
+        raise StatePrepError(
+            f"{format_state_spec(spec)} has {dist.truncation_tail:.2e} of its population above "
+            f"the cutoff n_max = {n_max}, more than {TAIL_LIMIT}; use n_max >= {need}"
+        )
+    return FockState(np.diag(dist.p)), dist
 
 
 def fock10_imperfect_preset(n_max: int = 12) -> PhononDistribution:
@@ -394,12 +327,6 @@ def random_walk_thermal(
             f"increase n_max beyond {n_max}"
         )
     return PhononDistribution(acc, truncation_tail=tail)
-
-
-def two_pulse_vacuum_probability(step_alpha: float) -> float:
-    """Closed-form p_0 after two random-phase pulses: e^(-2 a^2) I0(2 a^2)."""
-    a2 = step_alpha**2
-    return float(np.exp(-2 * a2) * i0(2 * a2))
 
 
 # --- embedding ----------------------------------------------------------------

@@ -5,7 +5,7 @@ import pytest
 
 from ionkerr.dynamics import CoupledModeParams
 from ionkerr.fock import FockCutoff
-from ionkerr.spectra import DriveParams, default_grid, peak_positions
+from ionkerr.spectra import DriveParams, peak_positions
 from ionkerr.trap import TWO_PI, detune_to, mode_frequencies, paper_trap
 
 
@@ -42,7 +42,8 @@ def centers_10(params_143):
 
 @pytest.fixture(scope="session")
 def grid(drive):
-    return default_grid()
+    """Detuning grid covering ten phonon peaks plus margins at paper-like parameters."""
+    return TWO_PI * np.linspace(-4.5e3, 1.5e3, 161)
 
 
 @pytest.fixture

@@ -7,14 +7,24 @@ import pytest
 
 from ionkerr import cli
 from ionkerr.cli import main
-from ionkerr.spectra import Spectrum
-from ionkerr.states import distribution
+from ionkerr.fock import FockCutoff, FockState
+from ionkerr.spectra import DriveParams, Spectrum, driven_scan
+from ionkerr.states import distribution, embed_radial, fock10_imperfect_preset
+from ionkerr.trap import TWO_PI, paper_trap
 
 GOOD_CONFIG = "[trap]\nomega_x_hz = 1042e3\nomega_y_hz = 979e3\nomega_z_hz = 587e3\n"
 
 
 def run(*argv):
     return main(list(argv))
+
+
+def exit_code(*argv):
+    """main's return value, or the code of the SystemExit that argparse raises."""
+    try:
+        return run(*argv)
+    except SystemExit as exc:
+        return exc.code
 
 
 class TestModes:
@@ -154,10 +164,24 @@ class TestScanAndFit:
         sp = Spectrum.read_csv(str(tmp_path / "scan.csv"))
         assert sp.p_up.max() > 0.5  # the n=1 peak at ~ -320 Hz falls in this window
 
-    def test_driven_rejects_preset(self, tmp_path, capsys):
-        code = run("scan", "--out", str(tmp_path), "--driven", "--state", "fock10_imperfect")
-        assert code == 2
-        assert "state" in capsys.readouterr().err
+    def test_driven_preset_is_the_population_sum_of_fock_scans(self, tmp_path):
+        # the preset enters as populations: its scan is sum_n p_n (scan of |0_a, n_b>)
+        grid_hz = ("--grid-min-hz", "-3400", "--grid-max-hz", "-2400", "--points", "41")
+        args = ("scan", "--out", str(tmp_path), "--driven", "--eta", "1", "--g", "0", *grid_hz)
+        assert run(*args, "--state", "fock10_imperfect") == 0
+        got = Spectrum.read_csv(str(tmp_path / "scan.csv"))
+        n_b_max = 12 + cli.DRIVEN_N_B_PAD
+        cutoff = FockCutoff(1, n_b_max, with_qubit=True)
+        params = cli._params_at(paper_trap(), TWO_PI * 14.3e3, cutoff)
+        want = sum(
+            p_n * driven_scan(
+                embed_radial(FockState(np.eye(n_b_max + 1)[n]), FockCutoff(1, n_b_max)),
+                params, DriveParams(t_pi=8e-3), got.detuning,
+            ).p_up
+            for n, p_n in enumerate(fock10_imperfect_preset(n_b_max).p)
+        )
+        assert np.max(np.abs(got.p_up - want)) < 1e-12
+        assert got.p_up.max() > 0.5  # the window holds the n = 8, 9 and 10 peaks
 
     def test_driven_truncation_names_n_max(self, tmp_path, capsys):
         # thermal:3 leaves (3/4)^19 = 4.2e-3 above n_b = 18; (3/4)^33 < 1e-4 needs n_b = 32
@@ -201,10 +225,10 @@ class TestScanAndFit:
     def test_tail_check_builds_no_state(self, tmp_path, capsys, monkeypatch):
         # thermal:100 needs --n-max 925; the check and the search read populations
         # only, so no (m + 1)^2 density matrix is built on the way there
-        def refuse(spec, n_max):
-            raise AssertionError(f"prepare({spec}, {n_max}) called")
+        def refuse(data):
+            raise AssertionError(f"FockState of shape {np.shape(data)} built")
 
-        monkeypatch.setattr(cli, "prepare", refuse)
+        monkeypatch.setattr(cli, "FockState", refuse)
         assert run("scan", "--out", str(tmp_path), "--state", "thermal:100", "--points", "3") == 2
         assert "--n-max 925" in capsys.readouterr().err
 
@@ -247,6 +271,18 @@ class TestScanAndFit:
         result = json.loads((tmp_path / "fit.json").read_text(), parse_constant=reject)
         assert result["param_sigma"]["eta"] is None
         assert isinstance(result["param_sigma"]["p_0"], float)
+
+    @pytest.mark.parametrize("points", ["1", "5"])
+    def test_fit_of_too_few_points_is_unidentifiable(self, tmp_path, points):
+        # fewer points than the 12 free-fit parameters: every sigma is unbounded
+        assert run("scan", "--out", str(tmp_path), "--points", points, "--shots", "400") == 0
+        args = ("fit", "--out", str(tmp_path), "--input", str(tmp_path / "scan.csv"))
+        families = ("free", "thermal") if points == "1" else ("free",)
+        for family in families:
+            assert run(*args, "--family", family) == 0
+            result = json.loads((tmp_path / "fit.json").read_text())
+            assert result["degenerate"] is True
+            assert set(result["param_sigma"].values()) == {None}
 
     def test_effective_second_order_refused(self, tmp_path, capsys):
         # the effective model knows the first sideband only; it used to ignore --order
@@ -347,6 +383,24 @@ class TestWalk:
 
 
 class TestErrorsAndDeterminism:
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("exchange", "--points", "0"),
+            ("crossing", "--manifold-n-max", "-1"),
+            ("shots", "--num-shots", "0"),
+            ("walk", "--trajectories", "0"),
+            ("walk", "--pulses", "0"),
+            ("scan", "--points", "many"),
+        ],
+        ids=["points", "manifold-n-max", "num-shots", "trajectories", "pulses", "non-integer"],
+    )
+    def test_empty_run_rejected(self, tmp_path, capsys, argv):
+        assert exit_code(*argv, "--out", str(tmp_path)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: argument {argv[1]}:") and err.count("\n") == 1
+        assert not any(tmp_path.iterdir())
+
     def test_infeasible_config_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "trap.ini"
         cfgfile.write_text("[trap]\nomega_x_hz = 500e3\nomega_y_hz = 979e3\nomega_z_hz = 587e3\n")

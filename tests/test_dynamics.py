@@ -18,13 +18,18 @@ from ionkerr.dynamics import (
     manifold_block,
     manifold_blocks,
     manifold_states,
-    sideband_offset,
 )
 from ionkerr.fock import FockCutoff, FockSpaceError, FockState, basis_index, basis_vector
 from ionkerr.states import StateSpec, embed_radial, prepare
 from ionkerr.trap import TWO_PI, detune_to, mode_frequencies, paper_trap
 
 CUT = FockCutoff(4, 10)
+
+
+def sideband_offset(delta: float, xi: float, n_b: int) -> float:
+    """Exact axial-sideband frequency for radial occupation n_b, relative to the
+    bare (uncoupled) sideband: [E(1, n_b) - E(0, n_b)] dressed, frame offset 0."""
+    return dressed_energy(delta, xi, 1, n_b) - dressed_energy(delta, xi, 0, n_b)
 
 
 class TestHamiltonian:

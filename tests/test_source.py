@@ -116,3 +116,40 @@ def test_detects_minimizer_and_curve():
         ]
     )
     assert len(_solver_and_curve_uses(ast.parse(source))) == 3
+
+
+def _population_path_breaks(tree: ast.AST, module: str) -> list[str]:
+    """A radial state is its populations: measure imports nothing from fock,
+    and cli never calls prepare (it reads distribution)."""
+    found = []
+    for node in ast.walk(tree):
+        if module == "measure.py" and isinstance(node, (ast.Import, ast.ImportFrom)):
+            names = [getattr(node, "module", None) or ""] + [a.name for a in node.names]
+            found += [f"fock import at line {node.lineno}" for n in names if n.split(".")[-1] == "fock"]
+        elif module == "cli.py" and isinstance(node, ast.Call) and _called(node) == "prepare":
+            found.append(f"prepare() at line {node.lineno}")
+    return found
+
+
+@pytest.mark.parametrize("name", ["measure.py", "cli.py"])
+def test_measure_and_cli_read_populations(name):
+    path = PACKAGE / name
+    assert _population_path_breaks(ast.parse(path.read_text(), filename=str(path)), name) == []
+
+
+def test_detects_population_path_breaks():
+    source = "\n".join(
+        [
+            "from .fock import FockState",
+            "from ionkerr.fock import basis_vector",
+            "from . import fock",
+            "import ionkerr.fock",
+            "from .spectra import lineshape",
+            "state, _ = prepare(spec, 12)",
+            "states.prepare(spec, 12)",
+        ]
+    )
+    tree = ast.parse(source)
+    assert len(_population_path_breaks(tree, "measure.py")) == 4
+    assert len(_population_path_breaks(tree, "cli.py")) == 2
+    assert _population_path_breaks(tree, "spectra.py") == []

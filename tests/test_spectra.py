@@ -16,8 +16,24 @@ from ionkerr.spectra import (
     model_spectrum,
     peak_positions,
 )
-from ionkerr.states import StateSpec, distribution, embed_radial, prepare
+from ionkerr.states import StateSpec, distribution, embed_radial, prepare, squeeze_elements, thermal_pops
 from ionkerr.trap import TWO_PI
+
+
+def bisected_fwhm(drive):
+    """The lineshape FWHM by 200 bisection steps on f = 1/2 between 0 and the
+    first zero sqrt(3) W."""
+    lo, hi = 0.0, np.sqrt(3) * drive.rabi
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if lineshape(mid, drive) > 0.5 else (lo, mid)
+    return 2 * lo
+
+
+def coherent_amplitudes(alpha, n_max):
+    """<n|alpha> = e^(-|alpha|^2 / 2) alpha^n / sqrt(n!) for n = 0..n_max."""
+    n = np.arange(n_max + 1)
+    return np.exp(-abs(alpha) ** 2 / 2) * alpha**n / np.sqrt(np.cumprod(np.maximum(n, 1)))
 
 
 def dense_driven_scan(initial, params, drive, grid, axis_reference="dressed"):
@@ -95,6 +111,11 @@ class TestLineshape:
         assert lineshape(w / 2, drive) == pytest.approx(0.5, abs=1e-9)
         # ~100 Hz for the 8 ms pi time
         assert w / TWO_PI == pytest.approx(99.8, abs=0.5)
+
+    @pytest.mark.parametrize("t_pi", [1e-3, 8e-3, 50e-3])
+    def test_fwhm_matches_bisection(self, t_pi):
+        d = DriveParams(t_pi=t_pi)
+        assert lineshape_fwhm(d) == pytest.approx(bisected_fwhm(d), rel=1e-12)
 
 
 class TestPeakPositions:
@@ -217,10 +238,8 @@ class TestDrivenScan:
     def test_mixed_equals_pure_for_projector(self, delta_143, xi_143, drive):
         cut = FockCutoff(2, 6, with_qubit=True)
         p = CoupledModeParams(delta=delta_143, xi=xi_143, cutoff=cut)
-        state, _ = prepare(StateSpec("fock", {"n": 1}), 6)
-        init_pure = embed_radial(state, FockCutoff(2, 6))
+        init_pure = embed_radial(FockState(np.eye(7)[1]), FockCutoff(2, 6))
         rho = np.outer(init_pure.data, init_pure.data.conj())
-        from ionkerr.fock import FockState
 
         grid = TWO_PI * np.linspace(-500.0, 0.0, 9)
         sp_pure = driven_scan(init_pure, p, drive, grid)
@@ -276,12 +295,12 @@ class TestDrivenScanOracle:
     def _initial(self, name, cutoff):
         motional = FockCutoff(cutoff.n_a_max, cutoff.n_b_max)
         if name == "fock":
-            return _radial_on(motional, prepare(StateSpec("fock", {"n": 3}), 4)[0])
+            return _radial_on(motional, FockState(np.eye(5)[3]))
         if name == "coherent":
-            vec = prepare(StateSpec("coherent", {"alpha": 0.2 + 0.1j}), 8)[0].data[:5]
+            vec = coherent_amplitudes(0.2 + 0.1j, 4)
             return _radial_on(motional, FockState(vec / np.linalg.norm(vec)))
         if name == "thermal":
-            return _radial_on(motional, prepare(StateSpec("thermal", {"nbar": 1.5}), 4)[0])
+            return _radial_on(motional, FockState(np.diag(thermal_pops(1.5, 4))))
         if name == "non_embedded":
             # (|1_a,0_b> + |0_a,2_b>)/sqrt2 in M = 2, plus a coherence with M = 1
             return _two_mode(motional, {(1, 0): 1.0, (0, 2): 1.0, (0, 1): 0.5j})
@@ -340,13 +359,12 @@ class TestDrivenRadialStates:
         params = CoupledModeParams(delta=delta, xi=xi, cutoff=cutoff)
         motional = FockCutoff(top // 2, top)
         if name == "fock":
-            state = prepare(StateSpec("fock", {"n": 3}), 4)[0]
+            state = FockState(np.eye(self.M_MAX + 1)[3])
         elif name == "thermal":
-            state = prepare(StateSpec("thermal", {"nbar": 1.5}), 4)[0]
+            state = FockState(np.diag(thermal_pops(1.5, self.M_MAX)))
         else:
-            spec = StateSpec(*{"coherent": ("coherent", {"alpha": 0.6 + 0.3j}),
-                               "squeezed_vacuum": ("squeezed_vacuum", {"r": 0.4})}[name])
-            vec = prepare(spec, 12)[0].data[: self.M_MAX + 1]
+            vec = {"coherent": coherent_amplitudes(0.6 + 0.3j, self.M_MAX),
+                   "squeezed_vacuum": squeeze_elements(0.4, self.M_MAX, 0)[:, 0]}[name]
             state = FockState(vec / np.linalg.norm(vec))
         return params, _radial_on(motional, state)
 

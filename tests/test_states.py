@@ -5,8 +5,9 @@ import functools
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.special import i0
 
-from ionkerr.fock import FockCutoff, FockSpaceError, _ladder
+from ionkerr.fock import FockCutoff, FockSpaceError, FockState, _ladder
 from ionkerr.states import (
     StatePrepError,
     StateSpec,
@@ -19,12 +20,15 @@ from ionkerr.states import (
     prepare,
     random_walk_thermal,
     squeeze_elements,
-    squeeze_op,
     squeezed_vacuum_pops,
     thermal_pops,
-    thermal_state,
-    two_pulse_vacuum_probability,
 )
+
+
+def two_pulse_vacuum_probability(step_alpha: float) -> float:
+    """Closed-form p_0 after two random-phase pulses: e^(-2 a^2) I0(2 a^2)."""
+    a2 = step_alpha**2
+    return float(np.exp(-2 * a2) * i0(2 * a2))
 
 
 def _guarded_expm(generator_fn, n_max: int, guard: int) -> np.ndarray:
@@ -154,29 +158,25 @@ class TestClosedFormPopulations:
 
 class TestOperatorConstructions:
     def test_squeeze_unitary_on_guarded_block(self):
-        S = squeeze_op(0.6, 60)
+        S = squeeze_elements(0.6, 60, 60)
         defect = (S.conj().T @ S - np.eye(61))[:7, :7]
         assert np.max(np.abs(defect)) < 1e-8
 
     def test_squeeze_parity(self):
-        S = squeeze_op(0.5, 40)
+        S = squeeze_elements(0.5, 40, 0)
         assert np.max(np.abs(S[1::2, 0])) < 1e-12
 
     def test_squeeze_too_strong(self):
         with pytest.raises(StatePrepError):
-            squeeze_op(2.0, 10)
+            prepare(StateSpec("squeezed_vacuum", {"r": 2.0}), 10)
 
     def test_squeeze_tail_names_the_smallest_cutoff(self):
         # squeezed_vacuum_pops(1.2, m) leaves more than 1e-4 above m <= 41; doubling named 48
         with pytest.raises(StatePrepError, match="use n_max >= 42"):
-            squeeze_op(1.2, 12)
-
-    def test_squeeze_op_exact_at_the_edge(self):
-        # a guard of 10 states left column 30 of S(0.7) wrong by 0.35
-        assert np.max(np.abs(squeeze_op(0.7, 30) - converged_squeeze(0.7, 30, 30))) < 1e-11
+            prepare(StateSpec("squeezed_vacuum", {"r": 1.2}), 12)
 
     def test_thermal_state_diagonal(self):
-        rho = thermal_state(0.5, 10)
+        rho, _ = prepare(StateSpec("thermal", {"nbar": 0.5}), 10)
         assert np.max(np.abs(rho.data - np.diag(np.diag(rho.data)))) == 0
 
 
@@ -211,7 +211,7 @@ class TestSqueezeRecurrence:
 class TestPrepare:
     def test_fock(self):
         state, dist = prepare(StateSpec("fock", {"n": 3}), 8)
-        assert state.is_pure and abs(state.data[3]) == 1.0
+        assert state.data[3, 3] == 1.0 and state.populations().sum() == 1.0
         assert dist.p[3] == 1.0 and dist.truncation_tail == 0.0
 
     def test_fock_outside_cutoff(self):
@@ -221,7 +221,26 @@ class TestPrepare:
     def test_coherent(self):
         state, dist = prepare(StateSpec("coherent", {"alpha": 1.2}), 25)
         assert np.allclose(dist.p, poisson_pops(1.44, 25), atol=1e-12)
-        assert np.allclose(np.abs(state.data) ** 2, dist.p / dist.p.sum(), atol=1e-10)
+        assert np.array_equal(state.populations(), dist.p)
+
+    @pytest.mark.parametrize(
+        "text", ["fock:3", "coherent:1.2", "thermal:0.7", "squeezed_vacuum:0.5",
+                 "squeezed_thermal:nbar=0.4,r=0.3", "squeezed_fock:n=2,r=0.3"],
+    )
+    def test_is_the_dephased_distribution(self, text):
+        # every family: diag(p) of the populations, unrenormalised
+        spec = parse_state_spec(text)
+        state, dist = prepare(spec, 20)
+        assert np.array_equal(state.data, np.diag(distribution(spec, 20).p))
+        assert np.array_equal(dist.p, distribution(spec, 20).p)
+
+    def test_thermal_tail_names_the_smallest_cutoff(self):
+        # thermal:3 leaves (3/4)^13 = 2.4e-2 above n = 12; (3/4)^33 < 1e-4 needs n_max = 32
+        with pytest.raises(StatePrepError, match="use n_max >= 32"):
+            prepare(StateSpec("thermal", {"nbar": 3.0}), 12)
+        with pytest.raises(StatePrepError, match="use n_max >= 32"):
+            prepare(StateSpec("thermal", {"nbar": 3.0}), 31)  # (3/4)^32 = 1.004e-4
+        assert prepare(StateSpec("thermal", {"nbar": 3.0}), 32)[1].truncation_tail < 1e-4
 
     def test_thermal(self):
         state, dist = prepare(StateSpec("thermal", {"nbar": 1.5}), 40)
@@ -240,8 +259,9 @@ class TestPrepare:
         assert dist.mean() == pytest.approx(expected, rel=1e-3)
 
     def test_squeezed_fock_exact_at_the_edge(self):
-        # the former guard of 10 states moved p_n by 4.7e-7 here
-        _, dist = prepare(StateSpec("squeezed_fock", {"n": 10, "r": 0.5}), 40)
+        # the former guard of 10 states moved p_n by 4.7e-7 here; prepare refuses
+        # this cutoff since the tail (2.2e-4) is above TAIL_LIMIT
+        dist = distribution(StateSpec("squeezed_fock", {"n": 10, "r": 0.5}), 40)
         assert np.max(np.abs(dist.p - np.abs(converged_squeeze(0.5, 40, 10)[:, 10]) ** 2)) < 1e-11
 
     def test_squeezed_fock_mean(self):
@@ -382,7 +402,7 @@ class TestRandomWalk:
 
 class TestEmbedRadial:
     def test_pure(self):
-        state, _ = prepare(StateSpec("fock", {"n": 2}), 5)
+        state = FockState(np.eye(6)[2])
         cut = FockCutoff(2, 5)
         full = embed_radial(state, cut)
         pops = full.populations()
