@@ -39,7 +39,6 @@ class DriveParams:
 
     t_pi: float
     order: int = 1
-    rabi2: float | None = None  # second-order drive strength; defaults to rabi
 
     def __post_init__(self):
         if self.t_pi <= 0:
@@ -51,12 +50,6 @@ class DriveParams:
     def rabi(self) -> float:
         return np.pi / self.t_pi
 
-    @property
-    def drive_rabi(self) -> float:
-        if self.order == 2 and self.rabi2 is not None:
-            return self.rabi2
-        return self.rabi
-
 
 @dataclass
 class Spectrum:
@@ -65,7 +58,6 @@ class Spectrum:
     detuning: np.ndarray
     p_up: np.ndarray
     shots_per_point: int | None = None
-    seed: int | None = None
 
     def __post_init__(self):
         self.detuning = np.asarray(self.detuning, dtype=float)
@@ -79,12 +71,6 @@ class Spectrum:
         """Table rows under SPECTRUM_COLUMNS, as written to CSV and JSON artifacts."""
         shots = "" if self.shots_per_point is None else self.shots_per_point
         return [[f"{d / TWO_PI:.12g}", f"{p:.12g}", shots] for d, p in zip(self.detuning, self.p_up)]
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", newline="\n") as fh:
-            w = csv.writer(fh, lineterminator="\n")
-            w.writerow(SPECTRUM_COLUMNS)
-            w.writerows(self.rows())
 
     @classmethod
     def read_csv(cls, path: str) -> "Spectrum":
@@ -143,19 +129,21 @@ def model_spectrum(
     eta: float = 1.0,
     g: float = 0.0,
 ) -> Spectrum:
-    """Effective fit model p(w) = g + eta sum_n p_n f(w - w_n), noiseless.
+    """Effective fit model p(w) = g + eta sum_n p_n f(w - w_n), noiseless."""
+    B = response_basis(grid, peak_positions(params, dist.n_max), drive)
+    return Spectrum(np.asarray(grid, dtype=float), detected(B @ dist.p, eta, g))
+
+
+def detected(p_up: np.ndarray, eta: float, g: float) -> np.ndarray:
+    """The detected excitation g + eta p_up of an ideal excitation p_up, for
+    detection efficiency eta and background g, after checking (eta, g).
 
     The clip to [0, 1] only absorbs rounding (rng.binomial rejects p > 1 by
     one ulp); the fits model the same curve without it.
     """
-    _check_eta_g(eta, g)
-    B = response_basis(grid, peak_positions(params, dist.n_max), drive)
-    return Spectrum(np.asarray(grid, dtype=float), np.clip(g + eta * (B @ dist.p), 0.0, 1.0))
-
-
-def _check_eta_g(eta: float, g: float) -> None:
     if not (0 <= eta <= 1 and g >= 0 and g + eta <= 1 + 1e-12):
         raise SpectroscopyError(f"need 0 <= eta <= 1, g >= 0, g + eta <= 1; got eta={eta}, g={g}")
+    return np.clip(g + eta * p_up, 0.0, 1.0)
 
 
 def driven_scan(
@@ -209,7 +197,7 @@ def driven_scan(
         # sigma+ a^dag^k takes down (n_a, n_b) to up (n_a + k, n_b).
         n = np.arange(m)
         V = np.zeros((len(H_up), m))
-        V[n + k, n] = 0.5 * drive.drive_rabi * np.sqrt(np.prod([n + j for j in range(1, k + 1)], axis=0))
+        V[n + k, n] = 0.5 * drive.rabi * np.sqrt(np.prod([n + j for j in range(1, k + 1)], axis=0))
         H = np.repeat(np.block([[H_down, V.T], [V, H_up]])[None], grid.size, axis=0)
         # The drive frame shifts only the up chain's diagonal.
         up = np.arange(m, m + len(H_up))
@@ -231,4 +219,4 @@ def add_shot_noise(spec: Spectrum, shots: int, seed: int) -> Spectrum:
     for i, p in enumerate(spec.p_up):
         rng = np.random.default_rng([seed, i])
         noisy[i] = rng.binomial(shots, p) / shots
-    return Spectrum(spec.detuning.copy(), noisy, shots_per_point=shots, seed=seed)
+    return Spectrum(spec.detuning.copy(), noisy, shots_per_point=shots)

@@ -1,5 +1,7 @@
 """End-to-end command-line harness: artifacts, manifests, exit codes, determinism."""
 
+import argparse
+import dataclasses
 import json
 
 import numpy as np
@@ -301,6 +303,31 @@ class TestScanAndFit:
         assert lines[0] == ",".join(rows[0])
         assert lines[1:] == [",".join(str(v) for v in row.values()) for row in rows]
 
+    def test_driven_scan_checks_eta_and_g(self, tmp_path, capsys):
+        # the driven path detects through the same checked g + eta p as the effective model
+        grid_hz = ("--points", "3", "--grid-min-hz", "500", "--grid-max-hz", "1500")
+        for grid in (grid_hz, ("--points", "3")):
+            args = ("scan", "--out", str(tmp_path), "--driven", "--eta", "0.9", "--g", "0.3", *grid)
+            assert run(*args) == 2
+            err = capsys.readouterr().err
+            assert err == "error: need 0 <= eta <= 1, g >= 0, g + eta <= 1; got eta=0.9, g=0.3\n"
+            assert not (tmp_path / "scan.csv").exists()
+
+    def test_unconverged_fit_exits_1_with_its_artifacts(self, tmp_path, capsys, monkeypatch):
+        fit = cli.fit_parametric
+
+        def unconverged(*args):
+            return dataclasses.replace(fit(*args), converged=False)
+
+        monkeypatch.setattr(cli, "fit_parametric", unconverged)
+        assert run("scan", "--out", str(tmp_path), "--points", "41") == 0
+        args = ("fit", "--out", str(tmp_path), "--input", str(tmp_path / "scan.csv"))
+        assert run(*args, "--family", "thermal") == 1
+        assert json.loads((tmp_path / "fit.json").read_text())["converged"] is False
+        assert json.loads((tmp_path / "manifest.json").read_text())["outputs"] == ["fit.json"]
+        err = capsys.readouterr().err
+        assert err.startswith("warning:") and err.count("\n") == 1
+
     def test_second_order_flag(self, tmp_path):
         assert (
             run(
@@ -392,14 +419,35 @@ class TestErrorsAndDeterminism:
             ("walk", "--trajectories", "0"),
             ("walk", "--pulses", "0"),
             ("scan", "--points", "many"),
+            ("scan", "--t-pi-ms", "inf"),
+            ("scan", "--grid-min-hz", "nan"),
+            ("walk", "--step-alpha", "nan"),
+            ("exchange", "--t-max-ms", "nan"),
+            ("fit", "--n-max", "-1", "--input", "scan.csv"),
+            ("shift", "--n-max", "-1"),
         ],
-        ids=["points", "manifold-n-max", "num-shots", "trajectories", "pulses", "non-integer"],
+        ids=[
+            "points", "manifold-n-max", "num-shots", "trajectories", "pulses", "non-integer",
+            "t-pi-ms", "grid-min-hz", "step-alpha", "t-max-ms", "fit-n-max", "shift-n-max",
+        ],
     )
     def test_empty_run_rejected(self, tmp_path, capsys, argv):
         assert exit_code(*argv, "--out", str(tmp_path)) == 2
         err = capsys.readouterr().err
         assert err.startswith(f"error: argument {argv[1]}:") and err.count("\n") == 1
         assert not any(tmp_path.iterdir())
+
+    def test_every_float_flag_is_checked_finite(self):
+        parser = cli.build_parser()
+        commands = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        for name, sub in commands.choices.items():
+            for action in sub._actions:
+                if isinstance(action.default, float):
+                    assert action.type is cli._finite, f"{name} {action.option_strings}"
+                if action.dest == "n_max":
+                    assert action.type("0") == 0
+                    with pytest.raises(argparse.ArgumentTypeError):
+                        action.type("-1")
 
     def test_infeasible_config_exits_2(self, tmp_path, capsys):
         cfgfile = tmp_path / "trap.ini"

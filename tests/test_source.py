@@ -153,3 +153,56 @@ def test_detects_population_path_breaks():
     assert len(_population_path_breaks(tree, "measure.py")) == 4
     assert len(_population_path_breaks(tree, "cli.py")) == 2
     assert _population_path_breaks(tree, "spectra.py") == []
+
+
+RUN_CONTEXT_CALLS = {"load_config", "paper_trap", "mkdir"}
+
+
+def _run_context_breaks(tree: ast.Module) -> list[str]:
+    """cli.main alone loads the trap, creates --out and writes the manifest:
+    no cmd_* calls load_config, paper_trap or mkdir, or names manifest.json,
+    itself or through a module-level helper it calls."""
+    functions = {s.name: s for s in tree.body if isinstance(s, ast.FunctionDef)}
+
+    def breaks(name: str, seen: set) -> list[str]:
+        seen.add(name)
+        found = []
+        for node in ast.walk(functions[name]):
+            called = _called(node) if isinstance(node, ast.Call) else None
+            if called in RUN_CONTEXT_CALLS:
+                found.append(f"{called}() in {name} at line {node.lineno}")
+            elif called in functions and called not in seen:
+                found += breaks(called, seen)
+            elif isinstance(node, ast.Constant) and node.value == "manifest.json":
+                found.append(f"'manifest.json' in {name} at line {node.lineno}")
+        return found
+
+    return [hit for name in functions if name.startswith("cmd_") for hit in breaks(name, set())]
+
+
+def test_only_main_owns_the_run_context():
+    path = PACKAGE / "cli.py"
+    assert _run_context_breaks(ast.parse(path.read_text(), filename=str(path))) == []
+
+
+def test_detects_run_context_breaks():
+    source = "\n".join(
+        [
+            "def _load_trap(args):",
+            "    return load_config(args.config) if args.config else paper_trap()",
+            "def _write_manifest(out):",
+            "    (out / 'manifest.json').write_text('{}')",
+            "def cmd_a(args):",
+            "    cfg = _load_trap(args)",
+            "def cmd_b(args, cfg, out):",
+            "    Path(args.out).mkdir(parents=True)",
+            "    _write_manifest(out)",
+            "def cmd_c(args, cfg, out):",
+            "    return [out / 'c.csv'], 0",
+            "def main(argv):",
+            "    cfg = _load_trap(argv)",
+            "    Path(argv.out).mkdir()",
+            "    _write_manifest(out)",
+        ]
+    )
+    assert len(_run_context_breaks(ast.parse(source))) == 4

@@ -3,9 +3,11 @@
 import numpy as np
 import pytest
 
+from ionkerr.cli import _write_table
 from ionkerr.dynamics import CoupledModeParams, dressed_energy
 from ionkerr.fock import FockCutoff, FockState, annihilation_op, basis_index, number_op
 from ionkerr.spectra import (
+    SPECTRUM_COLUMNS,
     DriveParams,
     SpectroscopyError,
     Spectrum,
@@ -52,7 +54,7 @@ def dense_driven_scan(initial, params, drive, grid, axis_reference="dressed"):
     k = drive.order
     a_k = np.linalg.matrix_power(a, k)
     sigma_plus = np.kron([[0.0, 0.0], [1.0, 0.0]], np.eye(motional_dim))  # |up><down|, qubit slowest
-    drive_term = 0.5 * drive.drive_rabi * (sigma_plus @ a_k.conj().T)
+    drive_term = 0.5 * drive.rabi * (sigma_plus @ a_k.conj().T)
     drive_term = drive_term + drive_term.conj().T
     up_slice = slice(motional_dim, 2 * motional_dim)
     ref = 0.0
@@ -77,11 +79,6 @@ class TestDriveParams:
     def test_rabi(self):
         d = DriveParams(t_pi=8e-3)
         assert d.rabi == pytest.approx(np.pi / 8e-3)
-        assert d.drive_rabi == d.rabi
-
-    def test_second_order_strength_override(self):
-        d = DriveParams(t_pi=8e-3, order=2, rabi2=100.0)
-        assert d.drive_rabi == 100.0
 
     def test_validation(self):
         with pytest.raises(SpectroscopyError):
@@ -165,28 +162,27 @@ class TestModelSpectrum:
             model_spectrum(dist, params_143, drive, grid, eta=0.9, g=0.2)
 
 
+def write_scan_csv(sp: Spectrum, out_dir) -> str:
+    """The scan CSV as the scan command writes it."""
+    return str(_write_table(out_dir, "scan", SPECTRUM_COLUMNS, sp.rows(), "csv"))
+
+
 class TestSpectrumIO:
     def test_csv_round_trip(self, tmp_path, grid):
         sp = Spectrum(grid, np.linspace(0.0, 1.0, grid.size), shots_per_point=250)
-        path = tmp_path / "spec.csv"
-        sp.write_csv(str(path))
-        back = Spectrum.read_csv(str(path))
+        back = Spectrum.read_csv(write_scan_csv(sp, tmp_path))
         assert np.allclose(back.detuning, sp.detuning, rtol=1e-10)
         assert np.allclose(back.p_up, sp.p_up, rtol=1e-10)
         assert back.shots_per_point == 250
 
     def test_csv_noiseless_round_trip(self, tmp_path, grid):
         sp = Spectrum(grid, np.full(grid.size, 0.25))
-        path = tmp_path / "spec.csv"
-        sp.write_csv(str(path))
-        assert Spectrum.read_csv(str(path)).shots_per_point is None
+        assert Spectrum.read_csv(write_scan_csv(sp, tmp_path)).shots_per_point is None
 
     def test_lf_line_endings(self, tmp_path, grid):
         sp = Spectrum(grid[:5], np.zeros(5))
-        path = tmp_path / "spec.csv"
-        sp.write_csv(str(path))
-        raw = path.read_bytes()
-        assert b"\r" not in raw
+        with open(write_scan_csv(sp, tmp_path), "rb") as fh:
+            assert b"\r" not in fh.read()
 
     def test_bad_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
